@@ -1,4 +1,4 @@
-"""Binary checkpoint files for encoder weights and prefix sets.
+"""Binary checkpoint files for encoder weights, prefix sets and heads.
 
 Layout: the ASCII header line ``PFORGE1``, one JSON metadata line (kind,
 model config, config fingerprint), then each tensor as
@@ -9,6 +9,12 @@ model config, config fingerprint), then each tensor as
 All integers are little-endian. Values are stored at 32-bit precision
 regardless of the in-memory dtype. The fingerprint lets a later load refuse
 tensors produced under an incompatible ModelConfig.
+
+``save_group``/``load_group`` are strict both ways. The metadata must be a
+mapping of the right ``kind`` holding a complete, valid ``config``. The
+tensors must be exactly those of the group that config implies, with its
+shapes and finite values; a head's class count is read from ``head.b``.
+Any violation raises ValueError naming the checkpoint path.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .model import ClassificationHead, EncoderWeights, ModelConfig, PrefixSet
-from .numerics import Tensor
+from .model import ClassificationHead, EncoderWeights, ModelConfig, ParamGroup, PrefixSet
+from .numerics import Rng, Tensor
 
 MAGIC = b"PFORGE1\n"
 _U32 = struct.Struct("<I")
@@ -109,27 +116,23 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, metadata
 
 
-def _config_meta(kind: str, config: ModelConfig, extra: dict | None) -> dict:
-    meta = {
-        "kind": kind,
-        "config": asdict(config),
-        "fingerprint": config.fingerprint(),
-    }
-    if extra:
-        overlap = meta.keys() & extra.keys()
-        if overlap:
-            raise ValueError(f"metadata keys {sorted(overlap)} are reserved")
-        meta.update(extra)
-    return meta
-
-
-def _check_meta(metadata: dict, kind: str, expect: ModelConfig | None,
-                path: str | Path) -> ModelConfig:
+def _read_config(metadata, kind: str, expect: ModelConfig | None,
+                 path: str | Path) -> ModelConfig:
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{path}: metadata is a {type(metadata).__name__}, not a mapping")
     if metadata.get("kind") != kind:
         raise ValueError(
             f"{path}: checkpoint kind {metadata.get('kind')!r}, expected {kind!r}"
         )
-    config = ModelConfig(**metadata["config"])
+    raw, names = metadata.get("config"), {f.name for f in fields(ModelConfig)}
+    if not isinstance(raw, dict) or raw.keys() != names:
+        raise ValueError(
+            f"{path}: metadata 'config' must map exactly {sorted(names)}, got {raw!r}"
+        )
+    try:
+        config = ModelConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: metadata 'config': {exc}") from exc
     if expect is not None and config.fingerprint() != expect.fingerprint():
         raise ValueError(
             f"{path}: config fingerprint {config.fingerprint()} does not match "
@@ -138,76 +141,75 @@ def _check_meta(metadata: dict, kind: str, expect: ModelConfig | None,
     return config
 
 
-def save_encoder(path: str | Path, weights: EncoderWeights,
-                 extra: dict | None = None) -> None:
-    meta = _config_meta("encoder", weights.config, extra)
-    save_tensors(path, weights.named_tensors(), meta)
+def _implied_group(kind: str, config: ModelConfig, arrays: dict[str, np.ndarray],
+                   path: str | Path) -> ParamGroup:
+    """The group ``config`` implies for ``kind``, checked against ``arrays``.
 
-
-def load_encoder(path: str | Path, expect: ModelConfig | None = None
-                 ) -> tuple[EncoderWeights, dict]:
-    tensors, metadata = load_tensors(path)
-    config = _check_meta(metadata, "encoder", expect, path)
-    weights = EncoderWeights(config)
-    slots = weights.named_tensors()
-    missing = slots.keys() - tensors.keys()
-    surplus = tensors.keys() - slots.keys()
+    The group holds placeholder values. A head's class count is not part of
+    the config, so it is taken from ``head.b``; a missing ``head.b`` is
+    reported by the tensor-set check.
+    """
+    try:
+        if kind == "encoder":
+            group = EncoderWeights(config)
+        elif kind == "prefix":
+            group = PrefixSet.init_random(config, Rng(0))
+        elif kind == "head":
+            num_classes = arrays["head.b"].size if "head.b" in arrays else 2
+            group = ClassificationHead.init_random(config.d_model, num_classes, Rng(0),
+                                                   config.precision)
+        else:
+            raise ValueError(f"unknown checkpoint kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    slots = group.named_tensors()
+    missing = slots.keys() - arrays.keys()
+    surplus = arrays.keys() - slots.keys()
     if missing or surplus:
         raise ValueError(
-            f"{path}: tensor set mismatch; missing {sorted(missing)[:3]}, "
-            f"unexpected {sorted(surplus)[:3]}"
+            f"{path}: tensor set mismatch for num_layers={config.num_layers}; "
+            f"missing {sorted(missing)[:3]}, unexpected {sorted(surplus)[:3]}"
         )
     for name, slot in slots.items():
-        if tensors[name].shape != slot.shape:
-            raise ValueError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {slot.shape}"
-            )
-        slot.data = tensors[name].astype(slot.data.dtype)
-    return weights, metadata
+        if arrays[name].shape != slot.shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
+                             f"expected {slot.shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+    return group
 
 
-def save_prefix(path: str | Path, prefix: PrefixSet, config: ModelConfig,
-                extra: dict | None = None) -> None:
-    """PrefixSet checkpoints hold only the P_k/P_v tensors plus fingerprint."""
-    prefix.check_compatible(config)
-    meta = _config_meta("prefix", config, extra)
-    save_tensors(path, prefix.named_tensors(), meta)
+def save_group(kind: str, path: str | Path, group: ParamGroup, config: ModelConfig,
+               extra: dict | None = None) -> None:
+    """Write ``group`` as a ``kind`` checkpoint after checking it fits ``config``."""
+    meta = {"kind": kind, "config": asdict(config), "fingerprint": config.fingerprint()}
+    reserved = meta.keys() & (extra or {}).keys()
+    if reserved:
+        raise ValueError(f"{path}: metadata keys {sorted(reserved)} are reserved")
+    meta.update(extra or {})
+    arrays = {name: t.data for name, t in group.named_tensors().items()}
+    _implied_group(kind, config, arrays, path)
+    save_tensors(path, arrays, meta)
 
 
-def load_prefix(path: str | Path, expect: ModelConfig | None = None
-                ) -> tuple[PrefixSet, dict]:
-    tensors, metadata = load_tensors(path)
-    config = _check_meta(metadata, "prefix", expect, path)
-    dt = config.precision
-    p_k, p_v = [], []
-    for i in range(config.num_layers):
-        for part, dest in (("k", p_k), ("v", p_v)):
-            name = f"prefix.{i}.{part}"
-            if name not in tensors:
-                raise ValueError(f"{path}: missing tensor {name!r}")
-            dest.append(Tensor(tensors[name], requires_grad=True, dtype=dt))
-    prefix = PrefixSet(p_k, p_v)
-    prefix.check_compatible(config)
-    return prefix, metadata
+def load_group(kind: str, path: str | Path, expect: ModelConfig | None = None
+               ) -> tuple[ParamGroup, dict]:
+    """Read a ``kind`` checkpoint into a trainable group; returns (group, metadata)."""
+    arrays, metadata = load_tensors(path)
+    config = _read_config(metadata, kind, expect, path)
+    group = _implied_group(kind, config, arrays, path)
+    for name, slot in group.named_tensors().items():
+        slot.data = arrays[name].astype(slot.dtype)
+    return group, metadata
 
 
-def save_head(path: str | Path, head: ClassificationHead, config: ModelConfig,
-              extra: dict | None = None) -> None:
-    meta = _config_meta("head", config, extra)
-    save_tensors(path, head.named_tensors(), meta)
+def save_encoder(path: str | Path, weights: EncoderWeights,
+                 extra: dict | None = None) -> None:
+    save_group("encoder", path, weights, weights.config, extra)
 
 
-def load_head(path: str | Path, expect: ModelConfig | None = None
-              ) -> tuple[ClassificationHead, dict]:
-    tensors, metadata = load_tensors(path)
-    config = _check_meta(metadata, "head", expect, path)
-    try:
-        w, b = tensors["head.w"], tensors["head.b"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing head tensor {exc}") from exc
-    dt = config.precision
-    return ClassificationHead(
-        Tensor(w, requires_grad=True, dtype=dt),
-        Tensor(b, requires_grad=True, dtype=dt),
-    ), metadata
+load_encoder = partial(load_group, "encoder")
+save_prefix = partial(save_group, "prefix")
+load_prefix = partial(load_group, "prefix")
+save_head = partial(save_group, "head")
+load_head = partial(load_group, "head")

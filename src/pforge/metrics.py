@@ -43,6 +43,9 @@ class PredictionLog:
         if self.ids and len(self.ids) != n:
             raise ValueError(f"ids length {len(self.ids)} does not match {n} examples")
         if n:
+            bad = np.flatnonzero(~np.isfinite(self.probs).all(axis=1))
+            if bad.size:
+                raise ValueError(f"probability row {bad[0]} is not finite")
             if self.probs.min() < 0:
                 raise ValueError("negative probability")
             sums = self.probs.sum(axis=1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from copy import deepcopy
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -100,10 +101,6 @@ class ModelConfig:
         """Sequence positions available after reserving prefix + safety room."""
         return self.max_positions - self.prefix_length - BUDGET_RESERVE
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.num_heads
-
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -126,8 +123,32 @@ def desk_config(prefix_length: int = 8) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameter groups
 # ---------------------------------------------------------------------------
+
+
+class ParamGroup:
+    """Stored parameters; ``named_tensors()`` is the one list of them, in order."""
+
+    def named_tensors(self) -> dict[str, Tensor]:
+        raise NotImplementedError
+
+    def set_trainable(self, flag: bool) -> None:
+        for t in self.named_tensors().values():
+            t.requires_grad = flag
+
+    def trainable_tensors(self) -> dict[str, Tensor]:
+        return {n: t for n, t in self.named_tensors().items() if t.requires_grad}
+
+    def param_count(self) -> int:
+        return sum(t.size for t in self.named_tensors().values())
+
+    def copy(self):
+        """Independent copy; each tensor becomes a fresh leaf with copied data."""
+        # deepcopy consults its memo first, so every tensor maps to its clone
+        fresh = {id(t): Tensor(t.data.copy(), requires_grad=t.requires_grad)
+                 for t in self.named_tensors().values()}
+        return deepcopy(self, fresh)
 
 
 @dataclass
@@ -150,7 +171,7 @@ class LayerWeights:
     ln2_b: Tensor
 
 
-class EncoderWeights:
+class EncoderWeights(ParamGroup):
     """All stored encoder parameters, with a trainable/frozen flag per tensor.
 
     Field order is fixed so that one init generator consumed sequentially
@@ -174,18 +195,16 @@ class EncoderWeights:
 
         self.tok_emb = w(V, d)
         self.pos_emb = w(config.max_positions, d)
-        self.layers: list[LayerWeights] = []
-        for _ in range(config.num_layers):
-            self.layers.append(LayerWeights(
-                w_q=w(d, d), b_q=zeros(d),
-                w_k=w(d, d), b_k=zeros(d),
-                w_v=w(d, d), b_v=zeros(d),
-                w_o=w(d, d), b_o=zeros(d),
-                ln1_g=ones(d), ln1_b=zeros(d),
-                w_f1=w(d, f), b_f1=zeros(f),
-                w_f2=w(f, d), b_f2=zeros(d),
-                ln2_g=ones(d), ln2_b=zeros(d),
-            ))
+        self.layers = [LayerWeights(
+            w_q=w(d, d), b_q=zeros(d),
+            w_k=w(d, d), b_k=zeros(d),
+            w_v=w(d, d), b_v=zeros(d),
+            w_o=w(d, d), b_o=zeros(d),
+            ln1_g=ones(d), ln1_b=zeros(d),
+            w_f1=w(d, f), b_f1=zeros(f),
+            w_f2=w(f, d), b_f2=zeros(d),
+            ln2_g=ones(d), ln2_b=zeros(d),
+        ) for _ in range(config.num_layers)]
         self.final_ln_g = ones(d)
         self.final_ln_b = zeros(d)
         self.mlm_dense_w = w(d, d)
@@ -195,60 +214,18 @@ class EncoderWeights:
         self.mlm_out_bias = zeros(V)
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {
-            "tok_emb": self.tok_emb,
-            "pos_emb": self.pos_emb,
-        }
-        for i, lay in enumerate(self.layers):
-            for fname in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
-                          "ln1_g", "ln1_b", "w_f1", "b_f1", "w_f2", "b_f2",
-                          "ln2_g", "ln2_b"):
-                out[f"layers.{i}.{fname}"] = getattr(lay, fname)
-        out["final_ln_g"] = self.final_ln_g
-        out["final_ln_b"] = self.final_ln_b
-        out["mlm_dense_w"] = self.mlm_dense_w
-        out["mlm_dense_b"] = self.mlm_dense_b
-        out["mlm_ln_g"] = self.mlm_ln_g
-        out["mlm_ln_b"] = self.mlm_ln_b
-        out["mlm_out_bias"] = self.mlm_out_bias
+        """Tensors named by attribute path, in the order __init__ assigns them."""
+        out: dict[str, Tensor] = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[name] = value
+            elif name == "layers":
+                for i, lay in enumerate(value):
+                    out.update((f"layers.{i}.{k}", t) for k, t in vars(lay).items())
         return out
 
-    MLM_HEAD_NAMES = ("mlm_dense_w", "mlm_dense_b", "mlm_ln_g", "mlm_ln_b", "mlm_out_bias")
 
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.named_tensors().values():
-            t.requires_grad = flag
-
-    def trainable_tensors(self) -> dict[str, Tensor]:
-        return {n: t for n, t in self.named_tensors().items() if t.requires_grad}
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.named_tensors().values())
-
-    def copy(self) -> "EncoderWeights":
-        other = EncoderWeights.__new__(EncoderWeights)
-        other.config = self.config
-        other.tok_emb = _clone(self.tok_emb)
-        other.pos_emb = _clone(self.pos_emb)
-        other.layers = [
-            LayerWeights(**{k: _clone(getattr(lay, k)) for k in lay.__dataclass_fields__})
-            for lay in self.layers
-        ]
-        other.final_ln_g = _clone(self.final_ln_g)
-        other.final_ln_b = _clone(self.final_ln_b)
-        other.mlm_dense_w = _clone(self.mlm_dense_w)
-        other.mlm_dense_b = _clone(self.mlm_dense_b)
-        other.mlm_ln_g = _clone(self.mlm_ln_g)
-        other.mlm_ln_b = _clone(self.mlm_ln_b)
-        other.mlm_out_bias = _clone(self.mlm_out_bias)
-        return other
-
-
-def _clone(t: Tensor) -> Tensor:
-    return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-
-class PrefixSet:
+class PrefixSet(ParamGroup):
     """Per-layer trainable key/value prefix rows: P_k, P_v of shape (n, d)."""
 
     def __init__(self, p_k: list[Tensor], p_v: list[Tensor]):
@@ -296,26 +273,8 @@ class PrefixSet:
             out[f"prefix.{i}.v"] = self.p_v[i]
         return out
 
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.named_tensors().values():
-            t.requires_grad = flag
 
-    def copy(self) -> "PrefixSet":
-        return PrefixSet([_clone(t) for t in self.p_k], [_clone(t) for t in self.p_v])
-
-    def check_compatible(self, config: ModelConfig) -> None:
-        if self.num_layers != config.num_layers:
-            raise ValueError(
-                f"prefix has {self.num_layers} layers, model has {config.num_layers}"
-            )
-        if self.p_k and self.p_k[0].shape[1] != config.d_model:
-            raise ValueError(
-                f"prefix width {self.p_k[0].shape[1]} does not match "
-                f"d_model {config.d_model}"
-            )
-
-
-class ClassificationHead:
+class ClassificationHead(ParamGroup):
     """Linear readout over the pooled [CLS] position."""
 
     def __init__(self, w: Tensor, b: Tensor):
@@ -341,9 +300,6 @@ class ClassificationHead:
 
     def named_tensors(self) -> dict[str, Tensor]:
         return {"head.w": self.w, "head.b": self.b}
-
-    def copy(self) -> "ClassificationHead":
-        return ClassificationHead(_clone(self.w), _clone(self.b))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +407,9 @@ def encode(
             f"sequence length {t} exceeds token budget {cfg.token_budget} "
             f"(max_positions {cfg.max_positions}, prefix {cfg.prefix_length})"
         )
-    if prefix is not None:
-        prefix.check_compatible(cfg)
+    # attention_with_prefix checks the prefix width
+    if prefix is not None and prefix.num_layers != cfg.num_layers:
+        raise ValueError(f"prefix has {prefix.num_layers} layers, model has {cfg.num_layers}")
 
     p = cfg.dropout if train else 0.0
     gen = rng.stream(STREAM_DROPOUT).generator() if (train and rng is not None and p > 0) else None

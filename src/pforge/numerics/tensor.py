@@ -88,9 +88,6 @@ class Tensor:
 
     # -- graph ---------------------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -1,6 +1,8 @@
 """PFORGE1 checkpoint format round-trips and corruption handling."""
 
+import re
 import struct
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,10 @@ from pforge.numerics import Rng, Tensor
 
 CFG = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,
                   vocab_size=40, max_positions=32, prefix_length=4)
+
+
+def _meta(kind: str) -> dict:
+    return {"kind": kind, "config": asdict(CFG), "fingerprint": CFG.fingerprint()}
 
 
 class TestRawFormat:
@@ -116,8 +122,7 @@ class TestEncoderCheckpoints:
         weights = EncoderWeights(CFG, Rng(5))
         tensors = dict(weights.named_tensors())
         tensors.pop("final_ln_g")
-        from pforge.checkpoint import _config_meta
-        save_tensors(path, tensors, _config_meta("encoder", CFG, None))
+        save_tensors(path, tensors, _meta("encoder"))
         with pytest.raises(ValueError, match="mismatch"):
             load_encoder(path)
 
@@ -164,3 +169,55 @@ class TestHeadCheckpoints:
         assert loaded.num_classes == 5
         assert np.array_equal(head.w.data, loaded.w.data)
         assert np.array_equal(head.b.data, loaded.b.data)
+
+
+def _prefix_arrays(rows: int = CFG.prefix_length) -> dict:
+    gen = np.random.default_rng(0)
+    return {f"prefix.{i}.{p}": gen.normal(size=(rows, CFG.d_model))
+            for i in range(CFG.num_layers) for p in "kv"}
+
+
+def _head_arrays() -> dict:
+    return {"head.w": np.zeros((CFG.d_model, 3)), "head.b": np.zeros(3)}
+
+
+def _nan_prefix() -> dict:
+    arrays = _prefix_arrays()
+    arrays["prefix.1.v"][2, 3] = np.nan
+    return arrays
+
+
+class TestStrictness:
+    @pytest.mark.parametrize("kind, tensors, metadata", [
+        ("prefix", {**_prefix_arrays(), "junk": np.zeros(2)}, _meta("prefix")),
+        ("head", {**_head_arrays(), "junk": np.zeros(2)}, _meta("head")),
+        ("head", {"head.w": np.zeros((CFG.d_model, 3))}, _meta("head")),
+        ("prefix", _prefix_arrays(rows=7), _meta("prefix")),
+        ("prefix", _nan_prefix(), _meta("prefix")),
+        ("prefix", _prefix_arrays(), {"kind": "prefix"}),
+        ("prefix", _prefix_arrays(), {**_meta("prefix"), "config": {"num_layers": 2}}),
+        ("prefix", _prefix_arrays(), {**_meta("prefix"), "config": [2, 8, 2]}),
+        ("prefix", _prefix_arrays(),
+         {**_meta("prefix"), "config": {**asdict(CFG), "num_layers": "2"}}),
+        ("head", _head_arrays(), ["head", asdict(CFG)]),
+    ], ids=["surplus-prefix-tensor", "surplus-head-tensor", "missing-head-bias",
+            "prefix-rows-not-prefix-length", "non-finite-prefix", "no-config",
+            "partial-config", "non-mapping-config", "mistyped-config-field",
+            "metadata-is-a-list"])
+    def test_bad_file_rejected_naming_path(self, tmp_path, kind, tensors, metadata):
+        path = tmp_path / "bad.ckpt"
+        save_tensors(path, tensors, metadata)
+        load = {"prefix": load_prefix, "head": load_head}[kind]
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load(path)
+
+    @pytest.mark.parametrize("save", [
+        lambda path: save_prefix(
+            path, PrefixSet.init_random(replace(CFG, prefix_length=7), Rng(0)), CFG),
+        lambda path: save_head(path, ClassificationHead.init_random(5, 3, Rng(0)), CFG),
+    ], ids=["prefix-rows-not-prefix-length", "head-width-not-d-model"])
+    def test_group_not_implied_by_config_never_written(self, tmp_path, save):
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            save(path)
+        assert not path.exists()

@@ -78,6 +78,12 @@ class TestPredictionLog:
         with pytest.raises(ValueError, match="negative"):
             PredictionLog(probs=np.array([[1.2, -0.2]]), labels=np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_by_index(self, bad):
+        probs = np.array([[0.5, 0.5], [bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            PredictionLog(probs=probs, labels=np.array([0, 1, 0]))
+
     def test_label_range_checked(self):
         with pytest.raises(ValueError, match="label"):
             PredictionLog(probs=np.array([[0.5, 0.5]]), labels=np.array([2]))
