@@ -20,6 +20,7 @@ Any violation raises ValueError naming the checkpoint path.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -49,10 +50,10 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
+def _read_exact(fh, n: int, path: Path) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise ValueError("truncated checkpoint file")
+        raise ValueError(f"{path}: truncated checkpoint file")
     return buf
 
 
@@ -82,14 +83,15 @@ def save_tensors(path: str | Path, tensors: dict[str, Tensor | np.ndarray],
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a PFORGE1 checkpoint")
         meta_raw = fh.readline()
         if not meta_raw.endswith(b"\n"):
-            raise ValueError("truncated checkpoint file")
+            raise ValueError(f"{path}: truncated checkpoint file")
         try:
             metadata = json.loads(meta_raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path}: bad metadata line: {exc}") from exc
         tensors: dict[str, np.ndarray] = {}
         while True:
@@ -97,21 +99,28 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             if not head:
                 break
             if len(head) != _U32.size:
-                raise ValueError("truncated checkpoint file")
+                raise ValueError(f"{path}: truncated checkpoint file")
             (name_len,) = _U32.unpack(head)
             if not 0 < name_len <= _NAME_LIMIT:
-                raise ValueError(f"corrupt checkpoint: name length {name_len}")
-            name = _read_exact(fh, name_len).decode("utf-8")
+                raise ValueError(f"{path}: corrupt checkpoint: name length {name_len}")
+            try:
+                name = _read_exact(fh, name_len, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: corrupt checkpoint: tensor name: {exc}") from exc
             if name in tensors:
-                raise ValueError(f"duplicate tensor name {name!r}")
-            (rank,) = _U32.unpack(_read_exact(fh, _U32.size))
+                raise ValueError(f"{path}: duplicate tensor name {name!r}")
+            (rank,) = _U32.unpack(_read_exact(fh, _U32.size, path))
             if rank > 8:
-                raise ValueError(f"corrupt checkpoint: rank {rank}")
+                raise ValueError(f"{path}: corrupt checkpoint: rank {rank}")
             shape = tuple(
-                _U32.unpack(_read_exact(fh, _U32.size))[0] for _ in range(rank)
+                _U32.unpack(_read_exact(fh, _U32.size, path))[0] for _ in range(rank)
             )
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4")
+            count = math.prod(shape)
+            # checked before reading: a corrupt shape can ask for terabytes
+            if 4 * count > size - fh.tell():
+                raise ValueError(f"{path}: truncated checkpoint file: tensor {name!r} "
+                                 f"of shape {shape} runs past the end")
+            data = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
             tensors[name] = data.reshape(shape).copy()
     return tensors, metadata
 

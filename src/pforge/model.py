@@ -18,11 +18,11 @@ import hashlib
 import json
 from copy import deepcopy
 from dataclasses import dataclass, asdict
+from numbers import Real
 
 import numpy as np
 
 from .numerics import (
-    NEG_INF,
     Rng,
     STREAM_DROPOUT,
     STREAM_INIT,
@@ -43,6 +43,7 @@ from .numerics import (
     split_heads,
     transpose,
 )
+from .numerics.attention import additive_mask, attention_core
 
 METHOD_FT = "ft"
 METHOD_FULL_DA_FT = "full-da-ft"
@@ -76,10 +77,17 @@ class ModelConfig:
     precision: str = "float32"
 
     def __post_init__(self):
-        for name in ("num_layers", "d_model", "num_heads", "ffn_dim",
-                     "vocab_size", "max_positions"):
+        dims = ("num_layers", "d_model", "num_heads", "ffn_dim", "vocab_size",
+                "max_positions")
+        for name in dims + ("prefix_length",):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in dims:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not isinstance(self.dropout, Real) or isinstance(self.dropout, bool):
+            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if self.prefix_length < 0:
             raise ValueError("prefix_length must be >= 0")
         if self.d_model % self.num_heads:
@@ -347,29 +355,23 @@ def attention_with_prefix(
             k = concat_seq(pk, k)
             v = concat_seq(pv, v)
 
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    probs = prefix_attention_probs(scores, attn_mask, n)
-    if dropout_p > 0.0 and gen is not None:
-        probs = dropout(probs, dropout_p, gen)
-    out = merge_heads(matmul(probs, v))
-    return add_bias(matmul(out, layer.w_o), layer.b_o)
+    ctx = attention_core(scale(q, 1.0 / np.sqrt(dh)), k, v, attn_mask, n, dropout_p, gen)
+    return add_bias(matmul(merge_heads(ctx), layer.w_o), layer.b_o)
 
 
 def prefix_attention_probs(scores: Tensor, attn_mask: np.ndarray, n: int) -> Tensor:
     """Softmax over n prefix keys followed by T real keys.
 
-    Prefix columns stay open for every query; padded real positions are
-    closed with an additive NEG_INF before the softmax, so their weight
-    underflows to exactly zero.
+    The composed-op reference for the softmax inside ``attention_core``,
+    with the same mask from ``additive_mask``: prefix columns stay open for
+    every query and padded real positions get zero weight.
     """
-    attn_mask = np.asarray(attn_mask)
-    b, t = attn_mask.shape
+    t = np.shape(attn_mask)[-1]
     if scores.shape[-1] != n + t:
         raise ValueError(
             f"scores cover {scores.shape[-1]} keys, expected {n} prefix + {t} real"
         )
-    mask_add = np.zeros((b, 1, 1, n + t), dtype=scores.dtype)
-    mask_add[..., n:] = (1.0 - attn_mask[:, None, None, :]) * NEG_INF
+    mask_add = additive_mask(attn_mask, n, scores.dtype)
     return softmax_rows(scores + const(mask_add, scores.dtype))
 
 
@@ -408,8 +410,14 @@ def encode(
             f"(max_positions {cfg.max_positions}, prefix {cfg.prefix_length})"
         )
     # attention_with_prefix checks the prefix width
-    if prefix is not None and prefix.num_layers != cfg.num_layers:
-        raise ValueError(f"prefix has {prefix.num_layers} layers, model has {cfg.num_layers}")
+    if prefix is not None:
+        if prefix.num_layers != cfg.num_layers:
+            raise ValueError(
+                f"prefix has {prefix.num_layers} layers, model has {cfg.num_layers}")
+        for name, tensor in prefix.named_tensors().items():
+            if tensor.dtype != cfg.precision:
+                raise ValueError(f"prefix tensor {name} is {tensor.dtype.name}, "
+                                 f"encoder precision is {cfg.precision}")
 
     p = cfg.dropout if train else 0.0
     gen = rng.stream(STREAM_DROPOUT).generator() if (train and rng is not None and p > 0) else None

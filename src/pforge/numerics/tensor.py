@@ -10,6 +10,7 @@ run at float64. Operations never mutate their inputs.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -437,20 +438,28 @@ def gather_positions(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+def dropout_mask(shape: Sequence[int], p: float, dtype: np.dtype,
+                 gen: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask at ``dtype``: 1/(1-p) on kept entries, 0 elsewhere.
+
+    N entries take N 32-bit words, read from ceil(N/2) raw 64-bit draws of
+    gen's bit generator; an entry is kept where its word is at least
+    round(p * 2**32), so it is dropped with probability p to within 2**-32.
+    """
+    size = math.prod(shape)
+    words = gen.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
+    keep = words >= np.uint32(min(round(p * 2**32), 2**32 - 1))
+    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype).reshape(shape)
+
+
 def dropout(x: Tensor, p: float, gen: np.random.Generator) -> Tensor:
     """Inverted dropout with keep-probability 1-p; mask drawn from gen."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return _make(x.data, (x,), lambda g: (g,))
-    keep = (gen.random(x.shape) >= p).astype(x.dtype)
-    scale_ = 1.0 / (1.0 - p)
-    data = x.data * keep * np.asarray(scale_, dtype=x.dtype)
-
-    def bwd(g):
-        return (g * keep * np.asarray(scale_, dtype=x.dtype),)
-
-    return _make(data, (x,), bwd)
+    mask = dropout_mask(x.shape, p, x.dtype, gen)
+    return _make(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:

@@ -1,5 +1,6 @@
 """PFORGE1 checkpoint format round-trips and corruption handling."""
 
+import json
 import re
 import struct
 from dataclasses import asdict, replace
@@ -221,3 +222,47 @@ class TestStrictness:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             save(path)
         assert not path.exists()
+
+
+def _u32(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def _corrupt_body(meta: bytes) -> dict:
+    """Each damaged tensor section load_tensors must refuse, after a valid header."""
+    block = _u32(1) + b"a" + _u32(1, 2) + np.zeros(2, dtype="<f4").tobytes()
+    return {
+        "metadata-line": meta.rstrip(b"\n"),
+        "tensor-header": meta + b"\x01\x00",
+        "tensor-body": meta + block[:-3],
+        "body-past-end": meta + _u32(1) + b"a" + _u32(2, 2**31, 2**31),
+        "duplicate-name": meta + block + block,
+        "name-length": meta + _u32(0),
+        "name-not-utf8": meta + _u32(1) + b"\xff",
+        "rank": meta + _u32(1) + b"a" + _u32(9),
+    }
+
+
+class TestCorruptFileNamesPath:
+    @pytest.mark.parametrize("case, message", [
+        ("metadata-line", "truncated"), ("tensor-header", "truncated"),
+        ("tensor-body", "truncated"), ("body-past-end", "truncated"),
+        ("duplicate-name", "duplicate tensor name"), ("name-length", "name length"),
+        ("name-not-utf8", "tensor name"), ("rank", "rank"),
+    ])
+    @pytest.mark.parametrize("kind, load", [("encoder", load_encoder),
+                                            ("prefix", load_prefix)])
+    def test_error_names_path(self, tmp_path, case, message, kind, load):
+        meta = MAGIC + json.dumps(_meta(kind)).encode() + b"\n"
+        path = tmp_path / f"{kind}.ckpt"
+        path.write_bytes(_corrupt_body(meta)[case])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+            load(path)
+
+
+def test_mistyped_config_field_named_with_path(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    save_tensors(path, _prefix_arrays(),
+                 {**_meta("prefix"), "config": {**asdict(CFG), "num_layers": "2"}})
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*num_layers"):
+        load_prefix(path)

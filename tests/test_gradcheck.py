@@ -9,6 +9,7 @@ import pytest
 
 from pforge.numerics import (
     Tensor,
+    attention_core,
     concat_seq,
     cross_entropy,
     dropout,
@@ -81,11 +82,25 @@ def op_cases(name, seed):
         return lambda: weighted_sum(
             dropout(a, 0.3, np.random.default_rng(seed + 2)),
             np.random.default_rng(seed + 1)), {"a": a}
+    if name == "attention_core":
+        # trials alternate n in {0, 3} and dropout p in {0, 0.3}
+        trial = seed // 1000
+        n, drop_p = 3 * (trial % 2), 0.3 * (trial // 2 % 2)
+        b, h, t, dh = int(m), int(gen.integers(1, 3)), int(k) + 1, int(p)
+        q = parameter(gen.normal(size=(b, h, t, dh)), dtype="float64")
+        kk = parameter(gen.normal(size=(b, h, n + t, dh)), dtype="float64")
+        v = parameter(gen.normal(size=(b, h, n + t, dh)), dtype="float64")
+        mask = np.ones((b, t))
+        mask[0, t // 2 + 1:] = 0
+        return lambda: weighted_sum(
+            attention_core(q, kk, v, mask, n, drop_p, np.random.default_rng(seed + 2)),
+            np.random.default_rng(seed + 1)), {"q": q, "k": kk, "v": v}
     raise AssertionError(name)
 
 
 OPS = ["matmul", "softmax_rows", "layer_norm", "cross_entropy", "concat_seq",
-       "gelu", "embedding", "transpose", "gather_positions", "dropout"]
+       "gelu", "embedding", "transpose", "gather_positions", "dropout",
+       "attention_core"]
 
 
 @pytest.mark.parametrize("op", OPS)

@@ -1,5 +1,7 @@
 """Encoder, prefix injection, heads, and parameter accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -103,6 +105,15 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="dropout"):
             ModelConfig(num_layers=1, d_model=8, num_heads=2, ffn_dim=16,
                         vocab_size=10, max_positions=32, dropout=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_layers", "2"), ("d_model", 8.0), ("num_heads", True),
+        ("prefix_length", None), ("dropout", "0.1"), ("dropout", False),
+        ("precision", 32),
+    ])
+    def test_field_of_wrong_type_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(TINY, **{field: value})
 
 
 class TestAttentionWithPrefix:
@@ -208,14 +219,19 @@ class TestEncode:
 
     def test_prefix_none_equals_zero_length_prefix(self):
         zero = PrefixSet(
-            [Tensor(np.zeros((0, TINY.d_model)), requires_grad=True)
+            [Tensor(np.zeros((0, TINY.d_model)), requires_grad=True, dtype=TINY.precision)
              for _ in range(TINY.num_layers)],
-            [Tensor(np.zeros((0, TINY.d_model)), requires_grad=True)
+            [Tensor(np.zeros((0, TINY.d_model)), requires_grad=True, dtype=TINY.precision)
              for _ in range(TINY.num_layers)],
         )
         a = encode(self.ids, self.mask, self.weights, prefix=None)
         b = encode(self.ids, self.mask, self.weights, prefix=zero)
         assert np.array_equal(a.data, b.data)
+
+    def test_prefix_dtype_other_than_encoder_precision_rejected(self):
+        prefix = PrefixSet.init_random(replace(TINY, precision="float64"), Rng(6))
+        with pytest.raises(ValueError, match="float64.*float32"):
+            encode(self.ids, self.mask, self.weights, prefix=prefix)
 
     def test_prefix_changes_output(self):
         prefix = PrefixSet.init_random(TINY, Rng(6))

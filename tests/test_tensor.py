@@ -257,6 +257,20 @@ class TestStructuralOps:
         kept = a != 0
         np.testing.assert_allclose(a[kept], 2.0)
 
+    def test_dropout_float32_keeps_nine_tenths_at_model_dtype(self):
+        from pforge.numerics import Rng
+
+        n, p = 10**6, 0.1
+        x = Tensor(np.ones(n), dtype="float32")
+        a = dropout(x, p, Rng(3).stream("dropout").generator()).data
+        b = dropout(x, p, Rng(3).stream("dropout").generator()).data
+        kept = a != 0
+        sigma = math.sqrt(n * p * (1 - p))
+        assert abs(kept.sum() - n * (1 - p)) < 5 * sigma
+        assert a.dtype == np.float32
+        assert np.all(a[kept] == np.float32(1 / (1 - p)))
+        np.testing.assert_array_equal(a, b)
+
     def test_dropout_rejects_bad_p(self, np_rng):
         with pytest.raises(ValueError):
             dropout(Tensor(np.ones(3)), 1.0, np_rng)
