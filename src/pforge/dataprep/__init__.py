@@ -161,6 +161,39 @@ def _split_documents(dataset: str, docs: list[Document]
     return {name: sorted(docs, key=lambda d: d.id) for name, docs in out.items()}
 
 
+def _build_top_k(dataset, posts, out_dir, k, what, candidates, label_of, text_of,
+                 provenance) -> DatasetManifest:
+    """Rank candidates(post) labels over the dump and keep the top k.
+
+    label_of(post, top) is a post's label, or None to route it to
+    unlabeled.jsonl; text_of(post) is its document text.
+    """
+    _check_unique_ids(posts)
+    counts: Counter[str] = Counter()
+    first_use: dict[str, float] = {}
+    for p in posts:
+        for label in candidates(p):
+            counts[label] += 1
+            if label not in first_use or p.created < first_use[label]:
+                first_use[label] = p.created
+    if len(counts) < k:
+        raise DataError(f"dump has {len(counts)} distinct {what}, need at least {k}")
+    top = set(_rank_labels(counts, first_use, k))
+    labeled, unlabeled = [], []
+    for p in posts:
+        doc = Document(text=text_of(p), label=label_of(p, top), id=p.id)
+        (unlabeled if doc.label is None else labeled).append(doc)
+    splits = _split_documents(dataset, labeled)
+    unlabeled.sort(key=lambda d: d.id)
+    return DatasetManifest.write(
+        out_dir, splits, _ordered_labels(counts, top), unlabeled,
+        provenance={
+            "builder": dataset, **provenance,
+            "posts": len(posts), "labeled": len(labeled),
+            "split_sizes": {name: len(docs) for name, docs in splits.items()},
+        })
+
+
 def build_reddit(posts: list[RawPost], out_dir: str | Path,
                  k_classes: int = 11) -> DatasetManifest:
     """Flair classification: top-k flairs labeled, the rest unlabeled.
@@ -168,36 +201,12 @@ def build_reddit(posts: list[RawPost], out_dir: str | Path,
     Text is title + newline + body. Posts without a flair, or with a flair
     outside the top k, feed unlabeled.jsonl.
     """
-    _check_unique_ids(posts)
-    counts: Counter[str] = Counter()
-    first_use: dict[str, float] = {}
-    for p in posts:
-        if p.flair:
-            counts[p.flair] += 1
-            if p.flair not in first_use or p.created < first_use[p.flair]:
-                first_use[p.flair] = p.created
-    if len(counts) < k_classes:
-        raise DataError(
-            f"dump has {len(counts)} distinct flairs, need at least {k_classes}"
-        )
-    top = set(_rank_labels(counts, first_use, k_classes))
-    labeled, unlabeled = [], []
-    for p in posts:
-        text = f"{p.title}\n{p.body}"
-        if p.flair in top:
-            labeled.append(Document(text=text, label=p.flair, id=p.id))
-        else:
-            unlabeled.append(Document(text=text, id=p.id))
-    splits = _split_documents("reddit", labeled)
-    unlabeled.sort(key=lambda d: d.id)
-    labels = _ordered_labels(counts, top)
-    return DatasetManifest.write(
-        out_dir, splits, labels, unlabeled,
-        provenance={
-            "builder": "reddit", "k_classes": k_classes,
-            "posts": len(posts), "labeled": len(labeled),
-            "split_sizes": {k: len(v) for k, v in splits.items()},
-        })
+    return _build_top_k(
+        "reddit", posts, out_dir, k_classes, "flairs",
+        candidates=lambda p: [p.flair] if p.flair else [],
+        label_of=lambda p, top: p.flair if p.flair in top else None,
+        text_of=lambda p: f"{p.title}\n{p.body}",
+        provenance={"k_classes": k_classes})
 
 
 def build_lse(posts: list[RawPost], out_dir: str | Path,
@@ -212,39 +221,12 @@ def build_lse(posts: list[RawPost], out_dir: str | Path,
     if country_tags is None:
         raise DataError("build_lse requires a country-tag exclusion list")
     country = set(country_tags)
-    _check_unique_ids(posts)
-    counts: Counter[str] = Counter()
-    first_use: dict[str, float] = {}
-    for p in posts:
-        for tag in p.tags:
-            if tag in country:
-                continue
-            counts[tag] += 1
-            if tag not in first_use or p.created < first_use[tag]:
-                first_use[tag] = p.created
-    if len(counts) < k_tags:
-        raise DataError(
-            f"dump has {len(counts)} distinct non-country tags, need {k_tags}"
-        )
-    top = set(_rank_labels(counts, first_use, k_tags))
-    labeled, unlabeled = [], []
-    for p in posts:
-        text = f"{p.title}\n{html_to_markdown(p.body)}"
-        if len(p.tags) == 1 and p.tags[0] in top:
-            labeled.append(Document(text=text, label=p.tags[0], id=p.id))
-        else:
-            unlabeled.append(Document(text=text, id=p.id))
-    splits = _split_documents("lse", labeled)
-    unlabeled.sort(key=lambda d: d.id)
-    labels = _ordered_labels(counts, top)
-    return DatasetManifest.write(
-        out_dir, splits, labels, unlabeled,
-        provenance={
-            "builder": "lse", "k_tags": k_tags,
-            "country_tags": sorted(country),
-            "posts": len(posts), "labeled": len(labeled),
-            "split_sizes": {k: len(v) for k, v in splits.items()},
-        })
+    return _build_top_k(
+        "lse", posts, out_dir, k_tags, "non-country tags",
+        candidates=lambda p: [tag for tag in p.tags if tag not in country],
+        label_of=lambda p, top: p.tags[0] if len(p.tags) == 1 and p.tags[0] in top else None,
+        text_of=lambda p: f"{p.title}\n{html_to_markdown(p.body)}",
+        provenance={"k_tags": k_tags, "country_tags": sorted(country)})
 
 
 _FACT_NUMBER_RE = re.compile(r"^\d+\.\s+")

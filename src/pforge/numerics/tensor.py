@@ -5,6 +5,12 @@ Tensor holding the forward result plus a closure that maps the output
 gradient to gradients for each parent. ``backward()`` walks the tape in
 reverse topological order. Arrays are float32 by default; checks and oracles
 run at float64. Operations never mutate their inputs.
+
+The gradient rule: an op's closure returns ``None`` for every input that
+does not require a gradient, so a frozen weight costs no backward work.
+``backward()`` stores an input's first gradient as given, cast to its dtype,
+and adds later ones out of place: a closure may hand one array to several
+inputs, so stored gradients may share memory and are never written in place.
 """
 
 from __future__ import annotations
@@ -35,10 +41,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -89,9 +91,6 @@ class Tensor:
 
     # -- graph ---------------------------------------------------------------
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable Tensor."""
         if self.data.size != 1:
@@ -116,44 +115,24 @@ class Tensor:
             if node._bwd is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._bwd(node.grad)):
-                if g is None or not parent.requires_grad:
+                if g is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                if g.shape != parent.shape:
+                    raise ValueError(f"gradient shape {g.shape} != input shape {parent.shape}")
+                g = g.astype(parent.dtype, copy=False)
+                parent.grad = g if parent.grad is None else parent.grad + g
 
     # -- operator sugar ------------------------------------------------------
 
     def __add__(self, other):
         return add(self, _coerce(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_coerce(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self.dtype), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other, self.dtype))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other, self.dtype), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other, self.dtype))
-
 
 def _coerce(x, dtype: np.dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    t = Tensor(np.asarray(x, dtype=dtype))
-    return t
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
@@ -200,20 +179,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(data, (a, b), bwd)
 
@@ -261,28 +238,22 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b; inner dimensions must agree.
+    """Matrix product a @ b of 2-d or higher operands; inner dimensions agree.
 
     Leading batch dimensions broadcast per numpy matmul semantics; the
     gradient sums broadcasted leading axes back onto each input.
     """
-    if a.data.ndim < 1 or b.data.ndim < 1:
-        raise ValueError("matmul requires at least 1-d operands")
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul requires 2-d or higher operands, got {a.shape} @ {b.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
         )
     data = a.data @ b.data
 
     def bwd(g):
-        bt = np.swapaxes(b.data, -1, -2) if b.data.ndim > 1 else b.data
-        at = np.swapaxes(a.data, -1, -2) if a.data.ndim > 1 else a.data
-        ga = _unbroadcast(g @ bt, a.shape) if b.data.ndim > 1 else None
-        gb = _unbroadcast(at @ g, b.shape) if a.data.ndim > 1 else None
-        if ga is None:
-            ga = _unbroadcast(np.outer(g, b.data).reshape(a.shape), a.shape)
-        if gb is None:
-            gb = _unbroadcast(np.outer(a.data, g).reshape(b.shape), b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), bwd)
@@ -318,14 +289,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y = xhat * gain.data + bias.data
 
     def bwd(g):
-        gxhat = g * gain.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ga = inv * (gxhat - m1 - xhat * m2)
-        reduce_axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes)
-        gbias = g.sum(axis=reduce_axes)
-        return ga, ggain, gbias
+        ga = None
+        if a.requires_grad:
+            gxhat = g * gain.data
+            m1 = gxhat.mean(axis=-1, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            ga = inv * (gxhat - m1 - xhat * m2)
+        axes = tuple(range(g.ndim - 1))
+        return (ga, (g * xhat).sum(axis=axes) if gain.requires_grad else None,
+                g.sum(axis=axes) if bias.requires_grad else None)
 
     return _make(y, (a, gain, bias), bwd)
 
@@ -397,8 +369,8 @@ def concat_seq(prefix: Tensor, seq: Tensor) -> Tensor:
 
     def bwd(g):
         return (
-            np.ascontiguousarray(g[..., :n, :]),
-            np.ascontiguousarray(g[..., n:, :]),
+            np.ascontiguousarray(g[..., :n, :]) if prefix.requires_grad else None,
+            np.ascontiguousarray(g[..., n:, :]) if seq.requires_grad else None,
         )
 
     return _make(data, (prefix, seq), bwd)

@@ -508,6 +508,22 @@ class TestFreezingSoundness:
                                   PrefixSet.init_random(TINY, Rng(22)).p_k[0].data)
 
 
+    def test_prefix_backward_leaves_every_encoder_grad_unset(self):
+        weights = EncoderWeights(TINY, Rng(24))
+        weights.set_trainable(False)
+        prefix = PrefixSet.init_random(TINY, Rng(25))
+        head = ClassificationHead.init_random(TINY.d_model, 3, Rng(26))
+        ids = np.array([[2, 7, 8, 9], [2, 11, 12, 0]])
+        mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+        hidden = encode(ids, mask, weights, prefix=prefix, train=True, rng=Rng(27))
+        cross_entropy(classify(hidden, head), np.array([0, 2])).backward()
+
+        for name, t in weights.named_tensors().items():
+            assert t.grad is None, name
+        for name, t in {**prefix.named_tensors(), **head.named_tensors()}.items():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+
+
 class TestEndToEndPrefixGradients:
     def test_grad_check_classification_loss_wrt_prefix(self):
         cfg = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,

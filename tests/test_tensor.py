@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from pforge.numerics import (
     Tensor,
+    add,
+    attention_core,
     concat_seq,
     cross_entropy,
     dropout,
@@ -17,6 +19,7 @@ from pforge.numerics import (
     matmul,
     mean_all,
     merge_heads,
+    mul,
     no_grad,
     parameter,
     softmax_rows,
@@ -24,6 +27,7 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
+from pforge.numerics.tensor import _make
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,6 +71,12 @@ class TestMatmul:
     def test_shape_mismatch_message(self):
         with pytest.raises(ValueError, match=r"\(2, 3\) @ \(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+    def test_one_dimensional_operands_rejected(self):
+        with pytest.raises(ValueError, match=r"2-d or higher.*\(3,\) @ \(3, 2\)"):
+            matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+        with pytest.raises(ValueError, match="2-d or higher"):
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
     def test_batched_matches_per_item(self, np_rng):
         a = np_rng.normal(size=(3, 4, 5))
@@ -311,3 +321,62 @@ class TestTape:
         p = parameter(np.ones((2, 2)), dtype="float32")
         out = matmul(p, p)
         assert out.data.dtype == np.float32
+
+
+    def test_gradient_of_wrong_shape_rejected_naming_both_shapes(self):
+        p = parameter(np.ones((4, 3)), dtype="float64")
+        out = _make(p.data.copy(), (p,), lambda g: (g.sum(axis=0),))
+        with pytest.raises(ValueError, match=r"\(3,\).*\(4, 3\)"):
+            sum_all(out).backward()
+
+    def test_gradient_cast_to_input_dtype(self):
+        p = parameter(np.ones((2, 3)), dtype="float32")
+        out = _make(p.data.copy(), (p,), lambda g: (g.astype(np.float64),))
+        sum_all(out).backward()
+        assert p.grad.dtype == np.float32
+        np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
+
+    def test_gradient_shared_by_two_inputs_is_not_written_in_place(self):
+        # add hands one array to both inputs; p's second gradient must not
+        # change the array q holds
+        p = parameter(np.ones(3), dtype="float64")
+        q = parameter(np.ones(3), dtype="float64")
+        sum_all(add(add(p, q), p)).backward()
+        np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(q.grad, np.ones(3))
+
+
+# op -> (function of its tensor inputs, input shapes); attention_core gets
+# one prefix key and a fixed mask over 4 real keys
+MULTI_INPUT_OPS = {
+    "add": (add, [(2, 3), (3,)]),
+    "mul": (mul, [(2, 3), (2, 3)]),
+    "matmul": (matmul, [(2, 4, 3), (3, 5)]),
+    "layer_norm": (layer_norm, [(2, 3), (3,), (3,)]),
+    "concat_seq": (concat_seq, [(2, 3), (4, 3)]),
+    "attention_core": (
+        lambda q, k, v: attention_core(q, k, v, np.array([[1, 1, 1, 0], [1, 1, 1, 1]]), 1),
+        [(2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, frozen", [
+    (name, i) for name, (_, shapes) in MULTI_INPUT_OPS.items() for i in range(len(shapes))
+])
+def test_op_returns_no_gradient_for_frozen_input(name, frozen):
+    fn, shapes = MULTI_INPUT_OPS[name]
+    gen = np.random.default_rng(5)
+    arrays = [gen.normal(size=s) for s in shapes]
+
+    def grads(frozen_slot):
+        inputs = [Tensor(a, requires_grad=i != frozen_slot) for i, a in enumerate(arrays)]
+        out = fn(*inputs)
+        return out._bwd(np.random.default_rng(6).normal(size=out.shape))
+
+    every, some = grads(None), grads(frozen)
+    for i, (want, got) in enumerate(zip(every, some)):
+        if i == frozen:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
