@@ -10,6 +10,16 @@ are never masked.
 Blocks are pre-norm residual with GELU FFNs; classification pools the
 leading [CLS] position; the MLM head ties its output projection to the
 token embedding.
+
+``encode`` runs on the real tokens only. It packs the N real positions of a
+padded (B, T) batch into an (N, d) hidden state, so the embeddings, layer
+norms, residual adds, FFNs and hidden dropouts skip the padding. Only the
+attention block sees the padded layout: its layer-normed input is scattered
+into a zero (B, T, d) array before the q/k/v projections, and its rows are
+gathered back after w_o. The result is scattered once more, so ``encode``
+returns (B, T, d) with exact zeros at padded positions. Each hidden dropout
+mask is drawn at the padded (B, T, d) shape and then packed, so the dropout
+stream does not depend on the layout.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from .numerics import (
     transpose,
 )
 from .numerics.attention import additive_mask, attention_core
+from .numerics.packing import dropout_rows, gather_rows, scatter_rows
 
 METHOD_FT = "ft"
 METHOD_FULL_DA_FT = "full-da-ft"
@@ -183,23 +194,27 @@ class EncoderWeights(ParamGroup):
     """All stored encoder parameters, with a trainable/frozen flag per tensor.
 
     Field order is fixed so that one init generator consumed sequentially
-    reproduces identical weights for identical seeds.
+    reproduces identical weights for identical seeds. Without an rng every
+    weight is a zero placeholder and nothing is drawn: the group then only
+    gives the names and shapes the config implies.
     """
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None):
         self.config = config
         dt = config.precision
         d, f, V = config.d_model, config.ffn_dim, config.vocab_size
-        gen = (rng or Rng(0)).stream(STREAM_INIT).generator()
-
-        def w(*shape):
-            return Tensor(gen.normal(0.0, INIT_STD, size=shape), requires_grad=True, dtype=dt)
+        gen = rng.stream(STREAM_INIT).generator() if rng is not None else None
 
         def zeros(*shape):
             return Tensor(np.zeros(shape), requires_grad=True, dtype=dt)
 
         def ones(*shape):
             return Tensor(np.ones(shape), requires_grad=True, dtype=dt)
+
+        def w(*shape):
+            if gen is None:
+                return zeros(*shape)
+            return Tensor(gen.normal(0.0, INIT_STD, size=shape), requires_grad=True, dtype=dt)
 
         self.tok_emb = w(V, d)
         self.pos_emb = w(config.max_positions, d)
@@ -389,8 +404,13 @@ def encode(
 ) -> Tensor:
     """Run the encoder; returns hidden states of shape (B, T, d_model).
 
+    attn_mask is 1 on real tokens and 0 on padding, and every sequence needs
+    at least one real token. Only the real tokens are computed (see the
+    module docstring); padded positions of the result are exactly 0.
+
     Eval mode (train=False) is deterministic: dropout is off. In train mode
-    a dropout generator is derived from rng and consumed in a fixed order.
+    a dropout generator is derived from rng and consumed in a fixed order;
+    every hidden dropout mask is drawn at the padded (B, T, d) shape.
     """
     cfg = weights.config
     ids = np.asarray(ids)
@@ -409,6 +429,14 @@ def encode(
             f"sequence length {t} exceeds token budget {cfg.token_budget} "
             f"(max_positions {cfg.max_positions}, prefix {cfg.prefix_length})"
         )
+    if attn_mask.shape != ids.shape:
+        raise ValueError(f"attn_mask shape {attn_mask.shape} does not match ids {ids.shape}")
+    bad = attn_mask[(attn_mask != 0) & (attn_mask != 1)]
+    if bad.size:
+        raise ValueError(f"attn_mask entries must be 0 or 1, got {bad.flat[0].item()!r}")
+    empty = np.flatnonzero(~attn_mask.any(axis=1))
+    if empty.size:
+        raise ValueError(f"attn_mask row {empty[0]} has no real token")
     # attention_with_prefix checks the prefix width
     if prefix is not None:
         if prefix.num_layers != cfg.num_layers:
@@ -422,27 +450,27 @@ def encode(
     p = cfg.dropout if train else 0.0
     gen = rng.stream(STREAM_DROPOUT).generator() if (train and rng is not None and p > 0) else None
 
-    x = embedding(weights.tok_emb, ids) + embedding(
-        weights.pos_emb, np.broadcast_to(np.arange(t), (b, t)))
+    rows = np.flatnonzero(attn_mask)
+    x = embedding(weights.tok_emb, ids.reshape(-1)[rows]) + embedding(weights.pos_emb, rows % t)
     if gen is not None:
-        x = dropout(x, p, gen)
+        x = dropout_rows(x, rows, b * t, p, gen)
     for i, layer in enumerate(weights.layers):
         kv = None
         if prefix is not None and prefix.length:
             kv = (prefix.p_k[i], prefix.p_v[i])
         h = attention_with_prefix(
-            layer_norm(x, layer.ln1_g, layer.ln1_b), layer, cfg.num_heads,
-            kv, attn_mask, dropout_p=p, gen=gen)
+            scatter_rows(layer_norm(x, layer.ln1_g, layer.ln1_b), rows, (b, t)), layer,
+            cfg.num_heads, kv, attn_mask, dropout_p=p, gen=gen)
         if gen is not None:
             h = dropout(h, p, gen)
-        x = x + h
+        x = x + gather_rows(h, rows)
         f = layer_norm(x, layer.ln2_g, layer.ln2_b)
         f = matmul(gelu(add_bias(matmul(f, layer.w_f1), layer.b_f1)), layer.w_f2)
         f = add_bias(f, layer.b_f2)
         if gen is not None:
-            f = dropout(f, p, gen)
+            f = dropout_rows(f, rows, b * t, p, gen)
         x = x + f
-    x = layer_norm(x, weights.final_ln_g, weights.final_ln_b)
+    x = scatter_rows(layer_norm(x, weights.final_ln_g, weights.final_ln_b), rows, (b, t))
     if squeeze:
         x = reshape(x, x.shape[1:])
     return x

@@ -309,12 +309,13 @@ _INV_SQRT2PI = 0.3989422804014327
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
+    # Python float scalars keep the array's dtype, so nothing needs a cast
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    y = (x * cdf).astype(x.dtype)
+    y = x * cdf
 
     def bwd(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return ((cdf + x * pdf).astype(x.dtype) * g,)
+        return ((cdf + x * pdf) * g,)
 
     return _make(y, (a,), bwd)
 

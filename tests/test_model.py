@@ -284,6 +284,31 @@ class TestEncode:
         with pytest.raises(ValueError, match="layers"):
             encode(self.ids, self.mask, self.weights, prefix=prefix)
 
+    @pytest.mark.parametrize("value", [0.5, 2])
+    def test_mask_entry_other_than_0_or_1_rejected(self, value):
+        mask = self.mask.astype(float)
+        mask[1, 1] = value
+        with pytest.raises(ValueError, match=f"attn_mask entries must be 0 or 1, got {value}"):
+            encode(self.ids, mask, self.weights)
+
+    def test_sequence_without_real_token_rejected(self):
+        mask = self.mask.copy()
+        mask[1] = 0
+        with pytest.raises(ValueError, match="attn_mask row 1 has no real token"):
+            encode(self.ids, mask, self.weights)
+
+    @pytest.mark.parametrize("with_prefix", [False, True])
+    def test_padded_batch_matches_each_sequence_alone(self, with_prefix):
+        cfg = replace(TINY, precision="float64")
+        weights = EncoderWeights(cfg, Rng(5))
+        prefix = PrefixSet.init_random(cfg, Rng(6)) if with_prefix else None
+        out = encode(self.ids, self.mask, weights, prefix).data
+        for i, row in enumerate(self.mask):
+            n = int(row.sum())
+            alone = encode(self.ids[i, :n], row[:n], weights, prefix).data
+            np.testing.assert_allclose(out[i, :n], alone, rtol=1e-12, atol=0)
+            assert np.all(out[i, n:] == 0.0)
+
 
 class TestClassify:
     def test_zero_weights_gives_bias(self):
@@ -408,6 +433,13 @@ class TestPrefixSet:
 
 
 class TestEncoderWeights:
+    def test_without_rng_weights_are_zero_placeholders(self):
+        seeded = EncoderWeights(TINY, Rng(0)).named_tensors()
+        plain = EncoderWeights(TINY).named_tensors()
+        assert {n: t.shape for n, t in plain.items()} == {n: t.shape for n, t in seeded.items()}
+        assert not np.any(plain["tok_emb"].data) and not np.any(plain["layers.1.w_f2"].data)
+        assert np.all(plain["layers.0.ln1_g"].data == 1.0)
+
     def test_same_seed_reproduces_weights(self):
         a = EncoderWeights(TINY, Rng(11))
         b = EncoderWeights(TINY, Rng(11))
@@ -544,3 +576,28 @@ class TestEndToEndPrefixGradients:
 
         report = grad_check(loss_fn, prefix.named_tensors())
         assert report.ok(1e-4), report
+
+
+class TestEndToEndEncoderGradients:
+    def test_grad_check_classification_loss_through_padded_batch(self):
+        # full fine-tuning path: packed rows, both row ops, hidden dropout
+        cfg = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,
+                          vocab_size=30, max_positions=32, prefix_length=2,
+                          precision="float64")
+        weights = EncoderWeights(cfg, Rng(41))
+        head = ClassificationHead.init_random(cfg.d_model, 3, Rng(42),
+                                              precision="float64")
+        ids = np.array([[2, 5, 6, 7, 8], [2, 9, 0, 0, 0], [2, 3, 4, 0, 0]])
+        mask = (ids != 0).astype(int)
+        labels = np.array([1, 2, 0])
+
+        def loss_fn():
+            hidden = encode(ids, mask, weights, train=True, rng=Rng(43))
+            return cross_entropy(classify(hidden, head), labels)
+
+        named = weights.named_tensors()
+        sampled = grad_check(loss_fn, {"tok_emb": named["tok_emb"]}, sample=40,
+                             rng=np.random.default_rng(44))
+        full = grad_check(loss_fn, {n: named[n] for n in ("layers.0.w_f1", "layers.1.ln2_g")})
+        assert sampled.ok(1e-4), sampled
+        assert full.ok(1e-4), full

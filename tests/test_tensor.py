@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from pforge.numerics import (
     Tensor,
@@ -256,6 +257,18 @@ class TestStructuralOps:
         # erf-based GELU at a few reference points
         out = gelu(Tensor(np.array([0.0, 1.0, -1.0]))).data
         np.testing.assert_allclose(out, [0.0, 0.8413447, -0.1586553], atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gelu_bits_and_dtype_match_the_cast_formula(self, dtype, np_rng):
+        x = parameter(np_rng.normal(0, 2, size=(7, 9)), dtype=dtype)
+        g = np_rng.normal(size=(7, 9)).astype(dtype)
+        out = gelu(x)
+        sum_all(out * Tensor(g)).backward()
+        cdf = 0.5 * (1.0 + erf(x.data * 0.7071067811865476))
+        pdf = 0.3989422804014327 * np.exp(-0.5 * x.data * x.data)
+        assert out.dtype == x.dtype and x.grad.dtype == x.dtype
+        assert np.array_equal(out.data, (x.data * cdf).astype(x.dtype))
+        assert np.array_equal(x.grad, (cdf + x.data * pdf).astype(x.dtype) * g)
 
     def test_dropout_deterministic_given_generator(self, np_rng):
         from pforge.numerics import Rng
