@@ -73,10 +73,11 @@ class SyntheticSpec:
         return [f"class{i}" for i in range(self.num_classes)]
 
 
-def _doc_tokens(spec: SyntheticSpec, gen, label: int | None) -> list[str]:
+def _doc_tokens(spec: SyntheticSpec, gen, label: int | None,
+                fillers: list[str], markers: list[str]) -> list[str]:
+    """One document's tokens; fillers and markers are the spec's token lists,
+    built once per corpus by the caller."""
     length = int(gen.integers(spec.doc_len_min, spec.doc_len_max + 1))
-    fillers = spec.filler_tokens()
-    markers = spec.marker_tokens()
     out = []
     for _ in range(length):
         r = gen.random()
@@ -105,10 +106,11 @@ def gen_general(spec: SyntheticSpec, rng: Rng) -> list[Document]:
 def gen_domain(spec: SyntheticSpec, rng: Rng) -> list[Document]:
     """Unlabeled in-domain documents: filler + markers + mixed keywords."""
     gen = rng.stream(STREAM_SAMPLING).stream("domain").generator()
+    fillers, markers = spec.filler_tokens(), spec.marker_tokens()
     docs = []
     for i in range(spec.domain_size):
         label = int(gen.integers(0, spec.num_classes))
-        toks = _doc_tokens(spec, gen, label)
+        toks = _doc_tokens(spec, gen, label, fillers, markers)
         docs.append(Document(text=" ".join(toks), id=f"dom-{i:06d}"))
     return docs
 
@@ -116,10 +118,11 @@ def gen_domain(spec: SyntheticSpec, rng: Rng) -> list[Document]:
 def gen_labeled_pool(spec: SyntheticSpec, rng: Rng) -> list[Document]:
     gen = rng.stream(STREAM_SAMPLING).stream("labeled").generator()
     names = spec.class_names()
+    fillers, markers = spec.filler_tokens(), spec.marker_tokens()
     docs = []
     for i in range(spec.labeled_pool_size):
         label = int(gen.integers(0, spec.num_classes))
-        toks = _doc_tokens(spec, gen, label)
+        toks = _doc_tokens(spec, gen, label, fillers, markers)
         docs.append(Document(text=" ".join(toks), label=names[label],
                              id=f"lab-{i:06d}"))
     return docs

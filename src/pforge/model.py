@@ -410,7 +410,8 @@ def encode(
 
     Eval mode (train=False) is deterministic: dropout is off. In train mode
     a dropout generator is derived from rng and consumed in a fixed order;
-    every hidden dropout mask is drawn at the padded (B, T, d) shape.
+    every hidden dropout mask is drawn at the padded (B, T, d) shape. Train
+    mode with dropout > 0 raises ValueError when rng is None.
     """
     cfg = weights.config
     ids = np.asarray(ids)
@@ -448,7 +449,10 @@ def encode(
                                  f"encoder precision is {cfg.precision}")
 
     p = cfg.dropout if train else 0.0
-    gen = rng.stream(STREAM_DROPOUT).generator() if (train and rng is not None and p > 0) else None
+    if p > 0 and rng is None:
+        raise ValueError(f"encode(train=True) with dropout {p} needs an rng for its "
+                         "dropout masks, got rng=None")
+    gen = rng.stream(STREAM_DROPOUT).generator() if p > 0 else None
 
     rows = np.flatnonzero(attn_mask)
     x = embedding(weights.tok_emb, ids.reshape(-1)[rows]) + embedding(weights.pos_emb, rows % t)

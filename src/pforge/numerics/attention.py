@@ -65,20 +65,26 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray, n: in
     if dropout_p > 0.0 and gen is not None:
         keep = dropout_mask(probs.shape, dropout_p, probs.dtype, gen)
     out = (probs if keep is None else probs * keep) @ v.data
+    # the score gradient reads v; q's gradient reads k and k's reads q
+    need_v = v.requires_grad
+    vd = v.data if q.requires_grad or k.requires_grad else None
+    kd = k.data if q.requires_grad else None
+    qd = q.data if k.requires_grad else None
 
     def bwd(g):
-        gv = None
-        if v.requires_grad:
+        gq = gk = gv = None
+        if need_v:
             dropped = probs if keep is None else probs * keep
             gv = np.swapaxes(dropped, -1, -2) @ g
-        gs = g @ np.swapaxes(v.data, -1, -2)
-        if keep is not None:
-            gs *= keep
-        # softmax backward: probs * (gs - rowsum(gs * probs))
-        gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
-        gs *= probs
-        gq = gs @ k.data if q.requires_grad else None
-        gk = np.swapaxes(gs, -1, -2) @ q.data if k.requires_grad else None
+        if vd is not None:
+            gs = g @ np.swapaxes(vd, -1, -2)
+            if keep is not None:
+                gs *= keep
+            # softmax backward: probs * (gs - rowsum(gs * probs))
+            gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
+            gs *= probs
+            gq = None if kd is None else gs @ kd
+            gk = None if qd is None else np.swapaxes(gs, -1, -2) @ qd
         return gq, gk, gv
 
     return _make(out, (q, k, v), bwd)

@@ -11,13 +11,27 @@ does not require a gradient, so a frozen weight costs no backward work.
 ``backward()`` stores an input's first gradient as given, cast to its dtype,
 and adds later ones out of place: a closure may hand one array to several
 inputs, so stored gradients may share memory and are never written in place.
+
+The lifetime rule: the tape holds no array past its last reader. An op
+output that needs a gradient owns a ``_Node``: its parents' nodes, its
+closure, and its shape and dtype. A leaf (a Tensor with ``requires_grad``
+and no node) enters the tape as a node that carries the leaf Tensor itself.
+Nodes hold no ``Tensor.data``, and a closure captures only the arrays its
+backward reads, chosen at forward time from which inputs need a gradient;
+so an activation lives as long as its caller keeps it, unless a backward
+reads it. ``backward()`` keeps intermediate gradients in a local map and
+drops each one once its node's closure has consumed it, and releases each
+node's closure and parent links as soon as the node has run. Only leaves
+get ``.grad``, and they accumulate it across calls. A graph can therefore be
+walked once: a second ``backward()`` that reaches a consumed node raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -43,15 +57,36 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """One tape entry: parent nodes (``None`` for inputs needing no gradient),
+    the backward closure, and the shape and dtype of the gradient it takes.
+
+    A leaf's node has no parents and no closure and carries the leaf Tensor,
+    which receives the gradient. ``backward()`` empties an op node's closure
+    and parents once it has run.
+    """
+
+    __slots__ = ("parents", "bwd", "shape", "dtype", "leaf")
+
+    def __init__(self, parents: tuple, bwd: Callable | None, shape: tuple[int, ...],
+                 dtype: np.dtype, leaf: Tensor | None = None):
+        self.parents = parents
+        self.bwd = bwd
+        self.shape = shape
+        self.dtype = dtype
+        self.leaf = leaf
+
+
 class Tensor:
     """A dense array with an optional gradient and tape linkage.
 
     data is always a float32 or float64 ndarray; grad, when present, has the
-    same shape and dtype. Integer inputs (token ids, positions) are passed to
-    operations as plain numpy arrays, not Tensors.
+    same shape and dtype and is set only on leaves. Integer inputs (token
+    ids, positions) are passed to operations as plain numpy arrays, not
+    Tensors.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype: str | None = None):
         arr = np.asarray(data)
@@ -62,8 +97,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._bwd: Callable[[np.ndarray], tuple] | None = None
+        self._node: _Node | None = None
 
     # -- introspection -------------------------------------------------------
 
@@ -92,12 +126,22 @@ class Tensor:
     # -- graph ---------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable Tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Consumes the graph: each node's closure and parent links are released
+        once it has run, so the graph cannot be walked again.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
-        topo: list[Tensor] = []
+        root = _link(self)
+        if root is None:
+            raise ValueError("backward() on a tensor that requires no gradient")
+        if root.leaf is not None:
+            self.grad = _accumulate(self.grad, np.ones_like(self.data))
+            return
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -105,22 +149,32 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.bwd is None:
+                raise ValueError("backward() reached a graph that an earlier backward() "
+                                 "consumed")
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if p is not None and p.leaf is None and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        grads = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
-            if node._bwd is None or node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._bwd(node.grad)):
-                if g is None:
+            bwd, parents = node.bwd, node.parents
+            node.bwd, node.parents = None, ()
+            g = grads.pop(id(node), None)
+            in_grads = () if g is None else bwd(g)
+            bwd = g = None  # the closure's saved arrays die here
+            for parent, pg in zip(parents, in_grads):
+                if parent is None or pg is None:
                     continue
-                if g.shape != parent.shape:
-                    raise ValueError(f"gradient shape {g.shape} != input shape {parent.shape}")
-                g = g.astype(parent.dtype, copy=False)
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if pg.shape != parent.shape:
+                    raise ValueError(
+                        f"gradient shape {pg.shape} != input shape {parent.shape}")
+                pg = pg.astype(parent.dtype, copy=False)
+                if parent.leaf is not None:
+                    parent.leaf.grad = _accumulate(parent.leaf.grad, pg)
+                else:
+                    grads[id(parent)] = _accumulate(grads.get(id(parent)), pg)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -131,6 +185,19 @@ class Tensor:
         return mul(self, _coerce(other, self.dtype))
 
 
+def _accumulate(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    return g if total is None else total + g
+
+
+def _link(t: Tensor) -> _Node | None:
+    """The tape node an op records for input t: None if t needs no gradient."""
+    if t._node is not None:
+        return t._node
+    if t.requires_grad:
+        return _Node((), None, t.shape, t.dtype, t)
+    return None
+
+
 def _coerce(x, dtype: np.dtype) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
@@ -139,14 +206,13 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    links = tuple(_link(p) for p in parents) if _grad_enabled else ()
+    if any(link is not None for link in links):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._bwd = bwd
+        out._node = _Node(links, bwd, data.shape, data.dtype)
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._bwd = None
+        out._node = None
     return out
 
 
@@ -177,20 +243,26 @@ def const(data, dtype: np.dtype | str = np.float32) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
     return _make(data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    # each input's gradient reads the other input
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return _make(data, (a, b), bwd)
 
@@ -224,7 +296,8 @@ def expand(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum(), dtype=a.dtype)
-    return _make(data, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),))
+    shape, dtype = a.shape, a.dtype
+    return _make(data, (a,), lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -250,10 +323,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
         )
     data = a.data @ b.data
+    # each input's gradient reads the other input
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        ga = None if bd is None else _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
+        gb = None if ad is None else _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
         return ga, gb
 
     return _make(data, (a, b), bwd)
@@ -287,17 +364,21 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
+    need_a, need_gain, need_bias = a.requires_grad, gain.requires_grad, bias.requires_grad
+    saved_gain = gain.data if need_a else None
+    saved_inv = inv if need_a else None
+    saved_xhat = xhat if need_a or need_gain else None
 
     def bwd(g):
         ga = None
-        if a.requires_grad:
-            gxhat = g * gain.data
+        if need_a:
+            gxhat = g * saved_gain
             m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            ga = inv * (gxhat - m1 - xhat * m2)
+            m2 = (gxhat * saved_xhat).mean(axis=-1, keepdims=True)
+            ga = saved_inv * (gxhat - m1 - saved_xhat * m2)
         axes = tuple(range(g.ndim - 1))
-        return (ga, (g * xhat).sum(axis=axes) if gain.requires_grad else None,
-                g.sum(axis=axes) if bias.requires_grad else None)
+        return (ga, (g * saved_xhat).sum(axis=axes) if need_gain else None,
+                g.sum(axis=axes) if need_bias else None)
 
     return _make(y, (a, gain, bias), bwd)
 
@@ -347,12 +428,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNOR
     lse = np.log(np.exp(shifted).sum(axis=-1)) + x.max(axis=-1)
     losses = lse - x[np.arange(n_keep), tk]
     data = np.asarray(losses.mean(), dtype=logits.dtype)
+    dtype = logits.dtype
 
     def bwd(g):
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[np.arange(n_keep), tk] -= 1.0
-        full = np.zeros_like(logits.data)
+        full = np.zeros((n, c), dtype=dtype)
         full[keep] = probs * (float(g) / n_keep)
         return (full,)
 
@@ -367,11 +449,12 @@ def concat_seq(prefix: Tensor, seq: Tensor) -> Tensor:
         )
     n = prefix.shape[-2]
     data = np.concatenate([prefix.data, seq.data], axis=-2)
+    need_prefix, need_seq = prefix.requires_grad, seq.requires_grad
 
     def bwd(g):
         return (
-            np.ascontiguousarray(g[..., :n, :]) if prefix.requires_grad else None,
-            np.ascontiguousarray(g[..., n:, :]) if seq.requires_grad else None,
+            np.ascontiguousarray(g[..., :n, :]) if need_prefix else None,
+            np.ascontiguousarray(g[..., n:, :]) if need_seq else None,
         )
 
     return _make(data, (prefix, seq), bwd)
@@ -386,10 +469,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"min {ids.min()}, max {ids.max()}"
         )
     data = table.data[ids]
+    shape, dtype = table.shape, table.dtype
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        gt = np.zeros(shape, dtype=dtype)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[-1]))
         return (gt,)
 
     return _make(data, (table,), bwd)
@@ -402,9 +486,10 @@ def gather_positions(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     if rows.shape != cols.shape:
         raise ValueError(f"row/col index shapes disagree: {rows.shape} vs {cols.shape}")
     data = x.data[rows, cols]
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         np.add.at(gx, (rows, cols), g)
         return (gx,)
 

@@ -1,5 +1,7 @@
 """HTML conversion golden files, dump builders, and synthetic corpora."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -401,3 +403,20 @@ class TestGenSynthetic:
             key=lambda l: (-sum(1 for _ in manifest.labels()), l)) or True
         assert len(manifest.load_unlabeled()) == len(domain)
         assert (manifest.root / "general.jsonl").exists()
+
+    def test_files_keep_their_bytes(self, tmp_path):
+        # sha256 of every file gen_synthetic writes, pinned so that a change
+        # to how the corpora are generated cannot move a single byte
+        spec = SyntheticSpec(general_size=30, domain_size=30, labeled_pool_size=80)
+        gen_synthetic(spec, Rng(2), tmp_path / "syn")
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "syn").iterdir()}
+        assert got == {
+            "dev.jsonl": "7d63da0013073d56ac3052b604f65b80ae11ad960f3a8a0cc9243f421bbf3591",
+            "general.jsonl": "319a7d57d0ea87589671a024d408cafbcec10345d30862c3a8bd143e9ff008bd",
+            "labels.txt": "2929d347679d307ab9935998e203ffaf2d4b661c30d129214b5eb67e7051cb6c",
+            "provenance.json": "372de7dc33ead4d930c23e2db3ff73f254ce6297a16501d20b7f850a4173b8ab",
+            "test.jsonl": "0df8a935f693d7cd14be9cba02667f785a5fc0e654d11f05851ec83692bd0aa4",
+            "train.jsonl": "62951731fc4a008db2606c5e0f29cb24cd9feab64f847ab62e5f1a4fbeee6835",
+            "unlabeled.jsonl": "7f49d5596633e1937e62f581f47dfeac68907e00687a254a6f54b022854b4863",
+        }

@@ -271,6 +271,15 @@ class TestEncode:
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
+    def test_train_mode_with_dropout_needs_rng(self):
+        with pytest.raises(ValueError, match="rng=None"):
+            encode(self.ids, self.mask, self.weights, train=True)
+
+    def test_train_mode_without_dropout_needs_no_rng(self):
+        weights = EncoderWeights(replace(TINY, dropout=0.0), Rng(5))
+        a = encode(self.ids, self.mask, weights, train=True)
+        assert np.array_equal(a.data, encode(self.ids, self.mask, weights).data)
+
     def test_single_sequence_input_squeezes(self):
         out = encode(self.ids[0], self.mask[0], self.weights)
         batched = encode(self.ids[:1], self.mask[:1], self.weights)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ class TestTape:
         p = parameter(np.ones((2, 2)), dtype="float64")
         with no_grad():
             out = matmul(p, p)
-        assert not out.requires_grad and out._parents == ()
+        assert not out.requires_grad and out._node is None
 
     def test_grad_accumulates_over_reuse(self):
         p = parameter(np.array([2.0]), dtype="float64")
@@ -316,6 +317,10 @@ class TestTape:
         p = parameter(np.ones((2, 2)), dtype="float64")
         with pytest.raises(ValueError, match="scalar"):
             (p * p).backward()
+
+    def test_backward_of_tensor_without_gradient_rejected(self):
+        with pytest.raises(ValueError, match="requires no gradient"):
+            sum_all(Tensor(np.ones(3))).backward()
 
     def test_mean_all(self):
         p = parameter(np.array([1.0, 2.0, 3.0]), dtype="float64")
@@ -359,6 +364,61 @@ class TestTape:
         np.testing.assert_array_equal(q.grad, np.ones(3))
 
 
+class TestLifetime:
+    """The tape keeps an array only while a backward closure still reads it."""
+
+    @staticmethod
+    def _saved(out, name):
+        # the array a node's closure captured under ``name``
+        bwd = out._node.bwd
+        return bwd.__closure__[bwd.__code__.co_freevars.index(name)].cell_contents
+
+    def test_only_leaves_hold_gradients_after_backward(self):
+        p = parameter(np.array([0.5, -1.0, 2.0]), dtype="float64")
+        h = gelu(p * p)
+        loss = sum_all(h)
+        loss.backward()
+        assert p.grad is not None and p.grad.shape == p.shape
+        assert h.grad is None and loss.grad is None
+
+    def test_second_backward_through_consumed_graph_raises(self):
+        p = parameter(np.array([1.0, 2.0]), dtype="float64")
+        h = p * p
+        loss = sum_all(h)
+        loss.backward()
+        with pytest.raises(ValueError, match="consumed"):
+            loss.backward()
+        with pytest.raises(ValueError, match="consumed"):
+            sum_all(h).backward()
+        np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+    def test_attention_probabilities_die_when_backward_returns(self):
+        gen = np.random.default_rng(3)
+        q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3)), dtype="float64")
+                   for _ in range(3))
+        out = attention_core(q, k, v, np.ones((1, 4)), 0)
+        probs = weakref.ref(self._saved(out, "probs"))
+        sum_all(out).backward()
+        assert probs() is None
+        assert q.grad is not None and k.grad is not None and v.grad is not None
+
+    def test_frozen_weight_matmul_input_dies_when_caller_drops_it(self):
+        gen = np.random.default_rng(4)
+        x0, w0 = gen.normal(size=(4, 3)), gen.normal(size=(3, 2))
+        grads = []
+        for frozen in (True, False):
+            p = parameter(x0, dtype="float64")
+            x = gelu(p)
+            alive = weakref.ref(x.data)
+            out = matmul(x, Tensor(w0, requires_grad=not frozen))
+            del x
+            # only a weight that needs a gradient reads the input in backward
+            assert (alive() is None) == frozen
+            sum_all(out).backward()
+            grads.append(p.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+
 # op -> (function of its tensor inputs, input shapes); attention_core gets
 # one prefix key and a fixed mask over 4 real keys
 MULTI_INPUT_OPS = {
@@ -385,7 +445,7 @@ def test_op_returns_no_gradient_for_frozen_input(name, frozen):
     def grads(frozen_slot):
         inputs = [Tensor(a, requires_grad=i != frozen_slot) for i, a in enumerate(arrays)]
         out = fn(*inputs)
-        return out._bwd(np.random.default_rng(6).normal(size=out.shape))
+        return out._node.bwd(np.random.default_rng(6).normal(size=out.shape))
 
     every, some = grads(None), grads(frozen)
     for i, (want, got) in enumerate(zip(every, some)):
