@@ -145,11 +145,6 @@ def _rank_labels(counts: Counter, first_use: dict[str, float], k: int
     return sorted(counts, key=lambda t: (-counts[t], first_use[t], t))[:k]
 
 
-def _ordered_labels(counts: Counter, chosen: set[str]) -> list[str]:
-    """labels.txt order: descending frequency, ties lexicographic."""
-    return sorted(chosen, key=lambda t: (-counts[t], t))
-
-
 def _split_documents(dataset: str, docs: list[Document]
                      ) -> dict[str, list[Document]]:
     out: dict[str, list[Document]] = {name: [] for name, _ in SPLIT_BOUNDS}
@@ -159,6 +154,22 @@ def _split_documents(dataset: str, docs: list[Document]
         out[split_of(dataset, doc.id)].append(doc)
     # sort by id so output bytes do not depend on dump order
     return {name: sorted(docs, key=lambda d: d.id) for name, docs in out.items()}
+
+
+def _write_labeled(dataset: str, out_dir: str | Path, labeled: list[Document],
+                   label_counts: dict[str, int], unlabeled: list[Document],
+                   provenance: dict) -> DatasetManifest:
+    """Split the labeled documents and write the manifest.
+
+    labels.txt lists the keys of label_counts by descending count, ties
+    lexicographic; provenance gains the builder name and the split sizes.
+    """
+    splits = _split_documents(dataset, labeled)
+    labels = sorted(label_counts, key=lambda t: (-label_counts[t], t))
+    return DatasetManifest.write(
+        out_dir, splits, labels, unlabeled,
+        provenance={"builder": dataset, **provenance,
+                    "split_sizes": {name: len(docs) for name, docs in splits.items()}})
 
 
 def _build_top_k(dataset, posts, out_dir, k, what, candidates, label_of, text_of,
@@ -183,15 +194,10 @@ def _build_top_k(dataset, posts, out_dir, k, what, candidates, label_of, text_of
     for p in posts:
         doc = Document(text=text_of(p), label=label_of(p, top), id=p.id)
         (unlabeled if doc.label is None else labeled).append(doc)
-    splits = _split_documents(dataset, labeled)
     unlabeled.sort(key=lambda d: d.id)
-    return DatasetManifest.write(
-        out_dir, splits, _ordered_labels(counts, top), unlabeled,
-        provenance={
-            "builder": dataset, **provenance,
-            "posts": len(posts), "labeled": len(labeled),
-            "split_sizes": {name: len(docs) for name, docs in splits.items()},
-        })
+    return _write_labeled(
+        dataset, out_dir, labeled, {t: counts[t] for t in top}, unlabeled,
+        {**provenance, "posts": len(posts), "labeled": len(labeled)})
 
 
 def build_reddit(posts: list[RawPost], out_dir: str | Path,
@@ -267,13 +273,8 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
             raise DataError(f"{path}:{lineno}: bad case record ({exc})") from exc
     if not docs:
         raise DataError(f"{path}: no cases found")
-    counts = Counter(d.label for d in docs)
-    labels = _ordered_labels(counts, set(counts))
-    splits = _split_documents("echr", docs)
-    return DatasetManifest.write(
-        out_dir, splits, labels, [],
-        provenance={"builder": "echr", "cases": len(docs),
-                    "split_sizes": {k: len(v) for k, v in splits.items()}})
+    return _write_labeled("echr", out_dir, docs, Counter(d.label for d in docs), [],
+                          {"cases": len(docs)})
 
 
 _TAG_WIRE_RE = re.compile(r"<([^<>]+)>")
@@ -327,17 +328,9 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng, out_dir: str | Path
     general = gen_general(spec, rng)
     domain = gen_domain(spec, rng)
     pool = gen_labeled_pool(spec, rng)
-    counts = Counter(d.label for d in pool)
-    labels = _ordered_labels(counts, set(counts))
-    splits = _split_documents("synthetic", pool)
-    manifest = DatasetManifest.write(
-        out_dir, splits, labels, domain,
-        provenance={
-            "builder": "synthetic", "seed": rng.seed,
-            "num_classes": spec.num_classes,
-            "sizes": {"general": len(general), "domain": len(domain),
-                      "pool": len(pool)},
-            "split_sizes": {k: len(v) for k, v in splits.items()},
-        })
+    manifest = _write_labeled(
+        "synthetic", out_dir, pool, Counter(d.label for d in pool), domain,
+        {"seed": rng.seed, "num_classes": spec.num_classes,
+         "sizes": {"general": len(general), "domain": len(domain), "pool": len(pool)}})
     save_jsonl(Path(out_dir) / "general.jsonl", general)
     return general, domain, manifest

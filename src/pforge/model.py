@@ -17,9 +17,7 @@ norms, residual adds, FFNs and hidden dropouts skip the padding. Only the
 attention block sees the padded layout: its layer-normed input is scattered
 into a zero (B, T, d) array before the q/k/v projections, and its rows are
 gathered back after w_o. The result is scattered once more, so ``encode``
-returns (B, T, d) with exact zeros at padded positions. Each hidden dropout
-mask is drawn at the padded (B, T, d) shape and then packed, so the dropout
-stream does not depend on the layout.
+returns (B, T, d) with exact zeros at padded positions.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .numerics import (
     transpose,
 )
 from .numerics.attention import additive_mask, attention_core
-from .numerics.packing import dropout_rows, gather_rows, scatter_rows
+from .numerics.packing import gather_rows, scatter_rows
 
 METHOD_FT = "ft"
 METHOD_FULL_DA_FT = "full-da-ft"
@@ -410,8 +408,8 @@ def encode(
 
     Eval mode (train=False) is deterministic: dropout is off. In train mode
     a dropout generator is derived from rng and consumed in a fixed order;
-    every hidden dropout mask is drawn at the padded (B, T, d) shape. Train
-    mode with dropout > 0 raises ValueError when rng is None.
+    every hidden dropout mask is drawn at the packed (N, d) shape it scales.
+    Train mode with dropout > 0 raises ValueError when rng is None.
     """
     cfg = weights.config
     ids = np.asarray(ids)
@@ -457,7 +455,7 @@ def encode(
     rows = np.flatnonzero(attn_mask)
     x = embedding(weights.tok_emb, ids.reshape(-1)[rows]) + embedding(weights.pos_emb, rows % t)
     if gen is not None:
-        x = dropout_rows(x, rows, b * t, p, gen)
+        x = dropout(x, p, gen)
     for i, layer in enumerate(weights.layers):
         kv = None
         if prefix is not None and prefix.length:
@@ -465,14 +463,15 @@ def encode(
         h = attention_with_prefix(
             scatter_rows(layer_norm(x, layer.ln1_g, layer.ln1_b), rows, (b, t)), layer,
             cfg.num_heads, kv, attn_mask, dropout_p=p, gen=gen)
+        h = gather_rows(h, rows)
         if gen is not None:
             h = dropout(h, p, gen)
-        x = x + gather_rows(h, rows)
+        x = x + h
         f = layer_norm(x, layer.ln2_g, layer.ln2_b)
         f = matmul(gelu(add_bias(matmul(f, layer.w_f1), layer.b_f1)), layer.w_f2)
         f = add_bias(f, layer.b_f2)
         if gen is not None:
-            f = dropout_rows(f, rows, b * t, p, gen)
+            f = dropout(f, p, gen)
         x = x + f
     x = scatter_rows(layer_norm(x, weights.final_ln_g, weights.final_ln_b), rows, (b, t))
     if squeeze:

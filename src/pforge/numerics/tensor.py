@@ -393,12 +393,9 @@ def gelu(a: Tensor) -> Tensor:
     # Python float scalars keep the array's dtype, so nothing needs a cast
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     y = x * cdf
-
-    def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return ((cdf + x * pdf) * g,)
-
-    return _make(y, (a,), bwd)
+    # backward reads only the derivative, so the tape keeps it and not x or cdf
+    deriv = cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)) if a.requires_grad else None
+    return _make(y, (a,), lambda g: (deriv * g,))
 
 
 IGNORE_INDEX = -100
@@ -512,10 +509,8 @@ def dropout_mask(shape: Sequence[int], p: float, dtype: np.dtype,
 
 def dropout(x: Tensor, p: float, gen: np.random.Generator) -> Tensor:
     """Inverted dropout with keep-probability 1-p; mask drawn from gen."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return _make(x.data, (x,), lambda g: (g,))
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"dropout probability must be in (0, 1), got {p}")
     mask = dropout_mask(x.shape, p, x.dtype, gen)
     return _make(x.data * mask, (x,), lambda g: (g * mask,))
 

@@ -212,18 +212,12 @@ def apply_mlm_mask(ids: np.ndarray, attn_mask: np.ndarray, p_select: float,
     return MaskedBatch(input_ids=out, targets=targets, positions=(rows, cols))
 
 
-def load_jsonl(path: str | Path, vocab: Vocab | None = None,
-               config: ModelConfig | None = None,
-               labels: dict[str, int] | None = None,
-               ) -> list[Document] | list[EncodedExample]:
+def load_jsonl(path: str | Path) -> list[Document]:
     """One JSON object per line: "text" required, "label"/"id" optional.
 
     Malformed lines are logged with their line numbers; more than 1% of
-    non-blank lines malformed aborts the load. With a vocab (and config),
-    documents come back encoded; a labels map then resolves label ids.
+    non-blank lines malformed aborts the load.
     """
-    if (vocab is None) != (config is None):
-        raise ValueError("vocab and config must be supplied together")
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -255,17 +249,7 @@ def load_jsonl(path: str | Path, vocab: Vocab | None = None,
             f"{path}: {len(bad)} of {n_lines} lines malformed (>1%); "
             f"first bad lines: {bad[:5]}"
         )
-    if vocab is None:
-        return docs
-    encoded = []
-    for doc in docs:
-        label_id = None
-        if labels is not None and doc.label is not None:
-            if doc.label not in labels:
-                raise DataError(f"{path}: label {doc.label!r} not in label set")
-            label_id = labels[doc.label]
-        encoded.append(encode_document(doc, vocab, config, label_id))
-    return encoded
+    return docs
 
 
 def save_jsonl(path: str | Path, docs: Iterable[Document]) -> None:

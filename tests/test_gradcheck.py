@@ -25,7 +25,7 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.packing import dropout_rows, gather_rows, scatter_rows
+from pforge.numerics.packing import gather_rows, scatter_rows
 
 N_TRIALS = 20
 TOL = 1e-4
@@ -96,7 +96,7 @@ def op_cases(name, seed):
         return lambda: weighted_sum(
             attention_core(q, kk, v, mask, n, drop_p, np.random.default_rng(seed + 2)),
             np.random.default_rng(seed + 1)), {"q": q, "k": kk, "v": v}
-    if name in ("scatter_rows", "gather_rows", "dropout_rows"):
+    if name in ("scatter_rows", "gather_rows"):
         # a random subset of the b*t positions, in increasing order
         b, t, d = int(m), int(k) + 1, int(p)
         rows = np.sort(gen.choice(b * t, size=int(gen.integers(1, b * t + 1)), replace=False))
@@ -104,18 +104,14 @@ def op_cases(name, seed):
             a = parameter(gen.normal(size=(b, t, d)), dtype="float64")
             return lambda: weighted_sum(gather_rows(a, rows), np.random.default_rng(seed + 1)), {"a": a}
         a = parameter(gen.normal(size=(rows.size, d)), dtype="float64")
-        if name == "scatter_rows":
-            return lambda: weighted_sum(
-                scatter_rows(a, rows, (b, t)), np.random.default_rng(seed + 1)), {"a": a}
         return lambda: weighted_sum(
-            dropout_rows(a, rows, b * t, 0.3, np.random.default_rng(seed + 2)),
-            np.random.default_rng(seed + 1)), {"a": a}
+            scatter_rows(a, rows, (b, t)), np.random.default_rng(seed + 1)), {"a": a}
     raise AssertionError(name)
 
 
 OPS = ["matmul", "softmax_rows", "layer_norm", "cross_entropy", "concat_seq",
        "gelu", "embedding", "transpose", "gather_positions", "dropout",
-       "attention_core", "scatter_rows", "gather_rows", "dropout_rows"]
+       "attention_core", "scatter_rows", "gather_rows"]
 
 
 @pytest.mark.parametrize("op", OPS)

@@ -24,7 +24,7 @@ from pforge.model import (
     prefix_attention_probs,
     roberta_base_shape,
 )
-from pforge.numerics import AdamW, Rng, Tensor, cross_entropy, grad_check, sum_all
+from pforge.numerics import AdamW, Rng, Tensor, cross_entropy, dropout, grad_check, sum_all
 
 TINY = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,
                    vocab_size=50, max_positions=32, prefix_length=4)
@@ -270,6 +270,20 @@ class TestEncode:
         c = encode(self.ids, self.mask, self.weights, train=True, rng=Rng(10))
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
+
+    @pytest.mark.parametrize("with_prefix", [False, True])
+    def test_each_hidden_dropout_scales_the_packed_rows(self, with_prefix, monkeypatch):
+        shapes = []
+
+        def recording_dropout(x, p, gen):
+            shapes.append(x.shape)
+            return dropout(x, p, gen)
+
+        monkeypatch.setattr("pforge.model.dropout", recording_dropout)
+        prefix = PrefixSet.init_random(TINY, Rng(6)) if with_prefix else None
+        encode(self.ids, self.mask, self.weights, prefix, train=True, rng=Rng(9))
+        n = int(self.mask.sum())
+        assert shapes == [(n, TINY.d_model)] * (1 + 2 * TINY.num_layers)
 
     def test_train_mode_with_dropout_needs_rng(self):
         with pytest.raises(ValueError, match="rng=None"):

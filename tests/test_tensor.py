@@ -296,8 +296,9 @@ class TestStructuralOps:
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_rejects_bad_p(self, np_rng):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, np_rng)
+        for p in (0.0, 1.0):
+            with pytest.raises(ValueError, match="dropout probability"):
+                dropout(Tensor(np.ones(3)), p, np_rng)
 
 
 class TestTape:

@@ -328,23 +328,6 @@ class TestLoadJsonl:
         with pytest.raises(DataError):
             load_jsonl(path)
 
-    def test_encoded_output_with_labels(self, tmp_path):
-        path = self.write(tmp_path, [json.dumps({"text": "alpha bravo", "label": "a"})])
-        out = load_jsonl(path, vocab=VOCAB, config=CFG, labels={"a": 0})
-        assert isinstance(out[0], EncodedExample)
-        assert out[0].ids == [CLS_ID, VOCAB.id("alpha"), VOCAB.id("bravo")]
-        assert out[0].label_id == 0
-
-    def test_unknown_label_rejected(self, tmp_path):
-        path = self.write(tmp_path, [json.dumps({"text": "x", "label": "zz"})])
-        with pytest.raises(DataError, match="label"):
-            load_jsonl(path, vocab=VOCAB, config=CFG, labels={"a": 0})
-
-    def test_vocab_requires_config(self, tmp_path):
-        path = self.write(tmp_path, [json.dumps({"text": "x"})])
-        with pytest.raises(ValueError, match="together"):
-            load_jsonl(path, vocab=VOCAB)
-
     def test_save_load_round_trip(self, tmp_path):
         docs = [Document(text="one two", label="a", id="p1"),
                 Document(text="three", id="p2")]
