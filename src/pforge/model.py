@@ -45,7 +45,7 @@ from .numerics import (
     layer_norm,
     matmul,
     merge_heads,
-    reshape,
+    reshape,  # unused here: bench/tracing.py times each tensor op bound in this module
     scale,
     softmax_rows,
     split_heads,
@@ -344,17 +344,13 @@ def attention_with_prefix(
     by every query, so the softmax runs over n + T keys while the output
     stays (B, T, d).
     """
-    b, t, d = x.shape
-    attn_mask = np.asarray(attn_mask)
-    if attn_mask.shape != (b, t):
-        raise ValueError(f"attn_mask shape {attn_mask.shape} does not cover ({b}, {t})")
+    b, _, d = x.shape
     dh = d // num_heads
 
     q = split_heads(add_bias(matmul(x, layer.w_q), layer.b_q), num_heads)
     k = split_heads(add_bias(matmul(x, layer.w_k), layer.b_k), num_heads)
     v = split_heads(add_bias(matmul(x, layer.w_v), layer.b_v), num_heads)
 
-    n = 0
     if prefix_kv is not None:
         p_k, p_v = prefix_kv
         if p_k.shape[-1] != d or p_v.shape[-1] != d:
@@ -368,22 +364,22 @@ def attention_with_prefix(
             k = concat_seq(pk, k)
             v = concat_seq(pv, v)
 
-    ctx = attention_core(scale(q, 1.0 / np.sqrt(dh)), k, v, attn_mask, n, dropout_p, gen)
+    ctx = attention_core(scale(q, 1.0 / np.sqrt(dh)), k, v, attn_mask, dropout_p, gen)
     return add_bias(matmul(merge_heads(ctx), layer.w_o), layer.b_o)
 
 
-def prefix_attention_probs(scores: Tensor, attn_mask: np.ndarray, n: int) -> Tensor:
+def prefix_attention_probs(scores: Tensor, attn_mask: np.ndarray) -> Tensor:
     """Softmax over n prefix keys followed by T real keys.
 
     The composed-op reference for the softmax inside ``attention_core``,
     with the same mask from ``additive_mask``: prefix columns stay open for
-    every query and padded real positions get zero weight.
+    every query and padded real positions get zero weight. n is the key
+    count beyond the T columns of attn_mask.
     """
     t = np.shape(attn_mask)[-1]
-    if scores.shape[-1] != n + t:
-        raise ValueError(
-            f"scores cover {scores.shape[-1]} keys, expected {n} prefix + {t} real"
-        )
+    n = scores.shape[-1] - t
+    if n < 0:
+        raise ValueError(f"scores cover {scores.shape[-1]} keys, fewer than the {t} real")
     mask_add = additive_mask(attn_mask, n, scores.dtype)
     return softmax_rows(scores + const(mask_add, scores.dtype))
 
@@ -400,7 +396,7 @@ def encode(
     train: bool = False,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Run the encoder; returns hidden states of shape (B, T, d_model).
+    """Run the encoder on (B, T) ids; returns hidden states of shape (B, T, d_model).
 
     attn_mask is 1 on real tokens and 0 on padding, and every sequence needs
     at least one real token. Only the real tokens are computed (see the
@@ -413,11 +409,9 @@ def encode(
     """
     cfg = weights.config
     ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ValueError(f"ids must be a (B, T) batch, got shape {ids.shape}")
     attn_mask = np.asarray(attn_mask)
-    squeeze = ids.ndim == 1
-    if squeeze:
-        ids = ids[None, :]
-        attn_mask = attn_mask[None, :]
     b, t = ids.shape
     if ids.size and ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id {ids.max()} outside vocabulary of {cfg.vocab_size}")
@@ -457,9 +451,7 @@ def encode(
     if gen is not None:
         x = dropout(x, p, gen)
     for i, layer in enumerate(weights.layers):
-        kv = None
-        if prefix is not None and prefix.length:
-            kv = (prefix.p_k[i], prefix.p_v[i])
+        kv = None if prefix is None else (prefix.p_k[i], prefix.p_v[i])
         h = attention_with_prefix(
             scatter_rows(layer_norm(x, layer.ln1_g, layer.ln1_b), rows, (b, t)), layer,
             cfg.num_heads, kv, attn_mask, dropout_p=p, gen=gen)
@@ -473,26 +465,18 @@ def encode(
         if gen is not None:
             f = dropout(f, p, gen)
         x = x + f
-    x = scatter_rows(layer_norm(x, weights.final_ln_g, weights.final_ln_b), rows, (b, t))
-    if squeeze:
-        x = reshape(x, x.shape[1:])
-    return x
+    return scatter_rows(layer_norm(x, weights.final_ln_g, weights.final_ln_b), rows, (b, t))
 
 
 def classify(hidden: Tensor, head: ClassificationHead) -> Tensor:
-    """Logits from the [CLS] position: hidden[..., 0, :] @ W + b."""
+    """(B, C) logits from the [CLS] position of (B, T, d) hidden states."""
     if hidden.shape[-1] != head.w.shape[0]:
         raise ValueError(
             f"hidden width {hidden.shape[-1]} does not match head input {head.w.shape[0]}"
         )
-    squeeze = hidden.data.ndim == 2
-    hidden3 = reshape(hidden, (1, *hidden.shape)) if squeeze else hidden
-    b = hidden3.shape[0]
-    pooled = gather_positions(hidden3, np.arange(b), np.zeros(b, dtype=int))
-    logits = add_bias(matmul(pooled, head.w), head.b)
-    if squeeze:
-        logits = reshape(logits, (head.num_classes,))
-    return logits
+    b = hidden.shape[0]
+    pooled = gather_positions(hidden, np.arange(b), np.zeros(b, dtype=int))
+    return add_bias(matmul(pooled, head.w), head.b)
 
 
 def mlm_logits(
@@ -508,8 +492,6 @@ def mlm_logits(
     rows, cols = np.asarray(positions[0]), np.asarray(positions[1])
     if rows.size == 0:
         raise ValueError("mlm_logits called with no masked positions")
-    if hidden.data.ndim == 2:
-        hidden = reshape(hidden, (1, *hidden.shape))
     h = gather_positions(hidden, rows, cols)
     h = gelu(add_bias(matmul(h, weights.mlm_dense_w), weights.mlm_dense_b))
     h = layer_norm(h, weights.mlm_ln_g, weights.mlm_ln_b)

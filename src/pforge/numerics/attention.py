@@ -31,13 +31,13 @@ def additive_mask(attn_mask: np.ndarray, n: int, dtype) -> np.ndarray:
     return out
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray, n: int,
+def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
                    dropout_p: float = 0.0,
                    gen: np.random.Generator | None = None) -> Tensor:
     """Attention context (B, h, T, dₕ) over n prefix keys and T real keys.
 
     q: (B, h, T, dₕ), already scaled; k, v: (B, h, n+T, dₕ), prefix rows
-    first; attn_mask: (B, T). Dropout on the probabilities runs only when
+    first, so n is the key count beyond T; attn_mask: (B, T). Dropout on the probabilities runs only when
     dropout_p > 0 and gen is given. The mask is a constant and gets no
     gradient.
     """
@@ -50,8 +50,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray, n: in
     b, _, t, _ = q.shape
     if attn_mask.shape != (b, t):
         raise ValueError(f"attn_mask shape {attn_mask.shape} does not cover ({b}, {t})")
-    if k.shape[-2] != n + t:
-        raise ValueError(f"keys cover {k.shape[-2]} rows, expected {n} prefix + {t} real")
+    n = k.shape[-2] - t
+    if n < 0:
+        raise ValueError(f"keys cover {k.shape[-2]} rows, fewer than the {t} queries")
     if not q.dtype == k.dtype == v.dtype:
         raise ValueError(f"attention_core dtypes differ: q {q.dtype}, k {k.dtype}, "
                          f"v {v.dtype}")

@@ -119,30 +119,22 @@ class Document:
 
 @dataclass
 class EncodedExample:
+    """Token ids of one document, all real: ``collate`` adds the padding."""
+
     ids: list[int]
-    attn_mask: list[int]
     label_id: int | None = None
 
     def __post_init__(self):
         if not self.ids or self.ids[0] != CLS_ID:
             raise ValueError("encoded example must start with [CLS]")
-        if len(self.ids) != len(self.attn_mask):
-            raise ValueError(
-                f"ids length {len(self.ids)} != mask length {len(self.attn_mask)}"
-            )
-        for i, (tok, m) in enumerate(zip(self.ids, self.attn_mask)):
-            if m not in (0, 1):
-                raise ValueError(f"attention mask entry {m} at {i} is not 0/1")
-            if (m == 0) != (tok == PAD_ID):
-                raise ValueError(
-                    f"mask/padding disagreement at position {i}: id {tok}, mask {m}"
-                )
+        if PAD_ID in self.ids:
+            raise ValueError(f"[PAD] at position {self.ids.index(PAD_ID)} of an encoded example")
 
 
 def encode_document(doc: Document, vocab: Vocab, config: ModelConfig,
                     label_id: int | None = None) -> EncodedExample:
     ids = truncate(tokenize(doc.text, vocab), config)
-    return EncodedExample(ids=ids, attn_mask=[1] * len(ids), label_id=label_id)
+    return EncodedExample(ids=ids, label_id=label_id)
 
 
 def collate(examples: Sequence[EncodedExample]
@@ -156,7 +148,7 @@ def collate(examples: Sequence[EncodedExample]
     labels = np.full(len(examples), IGNORE_INDEX, dtype=np.int64)
     for i, e in enumerate(examples):
         ids[i, : len(e.ids)] = e.ids
-        mask[i, : len(e.ids)] = e.attn_mask
+        mask[i, : len(e.ids)] = 1
         if e.label_id is not None:
             labels[i] = e.label_id
     return ids, mask, labels

@@ -94,7 +94,7 @@ def op_cases(name, seed):
         mask = np.ones((b, t))
         mask[0, t // 2 + 1:] = 0
         return lambda: weighted_sum(
-            attention_core(q, kk, v, mask, n, drop_p, np.random.default_rng(seed + 2)),
+            attention_core(q, kk, v, mask, drop_p, np.random.default_rng(seed + 2)),
             np.random.default_rng(seed + 1)), {"q": q, "k": kk, "v": v}
     if name in ("scatter_rows", "gather_rows"):
         # a random subset of the b*t positions, in increasing order

@@ -195,7 +195,7 @@ class TestAttentionProbs:
         scores = Tensor(gen.normal(0, 2, size=(b, heads, t, n + t)))
         mask = np.ones((b, t))
         mask[0, -2:] = 0
-        probs = prefix_attention_probs(scores, mask, n).data
+        probs = prefix_attention_probs(scores, mask).data
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(probs[0, :, :, n + 3:] == 0.0)
         # prefix columns stay open even for the padded batch row
@@ -203,7 +203,7 @@ class TestAttentionProbs:
 
     def test_score_key_count_checked(self):
         with pytest.raises(ValueError, match="keys"):
-            prefix_attention_probs(Tensor(np.zeros((1, 1, 2, 4))), np.ones((1, 2)), 3)
+            prefix_attention_probs(Tensor(np.zeros((1, 1, 2, 1))), np.ones((1, 2)))
 
 
 class TestEncode:
@@ -294,11 +294,9 @@ class TestEncode:
         a = encode(self.ids, self.mask, weights, train=True)
         assert np.array_equal(a.data, encode(self.ids, self.mask, weights).data)
 
-    def test_single_sequence_input_squeezes(self):
-        out = encode(self.ids[0], self.mask[0], self.weights)
-        batched = encode(self.ids[:1], self.mask[:1], self.weights)
-        assert out.shape == (5, TINY.d_model)
-        np.testing.assert_allclose(out.data, batched.data[0], atol=1e-7)
+    def test_unbatched_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"\(B, T\) batch, got shape \(5,\)"):
+            encode(self.ids[0], self.mask[0], self.weights)
 
     def test_prefix_layer_count_mismatch_rejected(self):
         other = ModelConfig(num_layers=3, d_model=8, num_heads=2, ffn_dim=16,
@@ -328,7 +326,7 @@ class TestEncode:
         out = encode(self.ids, self.mask, weights, prefix).data
         for i, row in enumerate(self.mask):
             n = int(row.sum())
-            alone = encode(self.ids[i, :n], row[:n], weights, prefix).data
+            alone = encode(self.ids[i:i + 1, :n], row[None, :n], weights, prefix).data[0]
             np.testing.assert_allclose(out[i, :n], alone, rtol=1e-12, atol=0)
             assert np.all(out[i, n:] == 0.0)
 
@@ -359,15 +357,6 @@ class TestClassify:
         want = np.array([[hidden[i, 0] @ w[:, c] + b[c] for c in range(4)]
                          for i in range(3)])
         np.testing.assert_allclose(got, want, atol=1e-6)
-
-    def test_unbatched_hidden_gives_flat_logits(self):
-        gen = np.random.default_rng(3)
-        head = ClassificationHead(Tensor(gen.normal(size=(8, 3))),
-                                  Tensor(np.zeros(3)))
-        hidden = gen.normal(size=(5, 8))
-        got = classify(Tensor(hidden), head)
-        assert got.shape == (3,)
-        np.testing.assert_allclose(got.data, hidden[0] @ head.w.data, atol=1e-6)
 
     def test_width_mismatch_rejected(self):
         head = ClassificationHead(Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))

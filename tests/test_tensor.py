@@ -397,7 +397,7 @@ class TestLifetime:
         gen = np.random.default_rng(3)
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3)), dtype="float64")
                    for _ in range(3))
-        out = attention_core(q, k, v, np.ones((1, 4)), 0)
+        out = attention_core(q, k, v, np.ones((1, 4)))
         probs = weakref.ref(self._saved(out, "probs"))
         sum_all(out).backward()
         assert probs() is None
@@ -429,7 +429,7 @@ MULTI_INPUT_OPS = {
     "layer_norm": (layer_norm, [(2, 3), (3,), (3,)]),
     "concat_seq": (concat_seq, [(2, 3), (4, 3)]),
     "attention_core": (
-        lambda q, k, v: attention_core(q, k, v, np.array([[1, 1, 1, 0], [1, 1, 1, 1]]), 1),
+        lambda q, k, v: attention_core(q, k, v, np.array([[1, 1, 1, 0], [1, 1, 1, 1]])),
         [(2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)],
     ),
 }

@@ -150,34 +150,27 @@ class TestTruncate:
 class TestEncodedExample:
     def test_must_start_with_cls(self):
         with pytest.raises(ValueError, match="CLS"):
-            EncodedExample(ids=[5, 6], attn_mask=[1, 1])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            EncodedExample(ids=[CLS_ID, 5], attn_mask=[1])
+            EncodedExample(ids=[5, 6])
 
     def test_mask_pad_agreement_enforced(self):
-        with pytest.raises(ValueError, match="disagreement"):
-            EncodedExample(ids=[CLS_ID, 5, PAD_ID], attn_mask=[1, 1, 1])
-        with pytest.raises(ValueError, match="disagreement"):
-            EncodedExample(ids=[CLS_ID, 5], attn_mask=[1, 0])
+        with pytest.raises(ValueError, match=r"\[PAD\] at position 2"):
+            EncodedExample(ids=[CLS_ID, 5, PAD_ID])
 
-    def test_mask_entries_binary(self):
-        with pytest.raises(ValueError, match="0/1"):
-            EncodedExample(ids=[CLS_ID, 5], attn_mask=[1, 2])
+    def test_pad_inside_ids_refused(self):
+        with pytest.raises(ValueError, match=r"\[PAD\] at position 1"):
+            EncodedExample(ids=[CLS_ID, PAD_ID, 5])
 
     def test_encode_document_truncates(self):
         doc = Document(text=" ".join(["alpha"] * 300))
         enc = encode_document(doc, VOCAB, CFG)
         assert len(enc.ids) == CFG.token_budget
         assert enc.ids[0] == CLS_ID
-        assert all(m == 1 for m in enc.attn_mask)
 
 
 class TestCollate:
     def test_pads_to_longest(self):
-        a = EncodedExample(ids=[CLS_ID, 5, 6], attn_mask=[1, 1, 1], label_id=1)
-        b = EncodedExample(ids=[CLS_ID, 7], attn_mask=[1, 1])
+        a = EncodedExample(ids=[CLS_ID, 5, 6], label_id=1)
+        b = EncodedExample(ids=[CLS_ID, 7])
         ids, mask, labels = collate([a, b])
         assert ids.shape == (2, 3)
         assert ids[1, 2] == PAD_ID and mask[1, 2] == 0
