@@ -244,6 +244,8 @@ ECHR_NO_VIOLATION = "no-violation"
 def clean_echr(title: str, facts: list[str], violated_articles: list[str],
                case_id: str | None = None) -> Document:
     """Title plus renumber-stripped facts, labeled by any-violation."""
+    if not isinstance(facts, list) or not all(isinstance(f, str) for f in facts):
+        raise ValueError(f"facts must be a list of str, got {facts!r:.60}")
     cleaned = [_FACT_NUMBER_RE.sub("", fact) for fact in facts]
     label = ECHR_VIOLATION if violated_articles else ECHR_NO_VIOLATION
     return Document(text="\n".join([title] + cleaned), label=label, id=case_id)

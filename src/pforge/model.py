@@ -45,7 +45,7 @@ from .numerics import (
     layer_norm,
     matmul,
     merge_heads,
-    reshape,  # unused here: bench/tracing.py times each tensor op bound in this module
+    reshape,  # not called here; bound so the traced ops match BENCHMARK.json's per-op list
     scale,
     softmax_rows,
     split_heads,
@@ -474,6 +474,10 @@ def classify(hidden: Tensor, head: ClassificationHead) -> Tensor:
         raise ValueError(
             f"hidden width {hidden.shape[-1]} does not match head input {head.w.shape[0]}"
         )
+    for name, tensor in head.named_tensors().items():
+        if tensor.dtype != hidden.dtype:
+            raise ValueError(f"{name} is {tensor.dtype.name}, hidden states are "
+                             f"{hidden.dtype.name}")
     b = hidden.shape[0]
     pooled = gather_positions(hidden, np.arange(b), np.zeros(b, dtype=int))
     return add_bias(matmul(pooled, head.w), head.b)

@@ -37,9 +37,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
     """Attention context (B, h, T, dₕ) over n prefix keys and T real keys.
 
     q: (B, h, T, dₕ), already scaled; k, v: (B, h, n+T, dₕ), prefix rows
-    first, so n is the key count beyond T; attn_mask: (B, T). Dropout on the probabilities runs only when
-    dropout_p > 0 and gen is given. The mask is a constant and gets no
-    gradient.
+    first, so n is the key count beyond T; attn_mask: (B, T). Dropout on
+    the probabilities runs when dropout_p > 0 and then needs gen. The mask
+    is a constant and gets no gradient.
     """
     attn_mask = np.asarray(attn_mask)
     if q.data.ndim != 4 or k.shape != v.shape or k.shape[:2] != q.shape[:2] \
@@ -56,6 +56,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
     if not q.dtype == k.dtype == v.dtype:
         raise ValueError(f"attention_core dtypes differ: q {q.dtype}, k {k.dtype}, "
                          f"v {v.dtype}")
+    if dropout_p > 0.0 and gen is None:
+        raise ValueError(f"attention_core with dropout_p {dropout_p} needs a generator "
+                         "for its dropout mask, got gen=None")
 
     probs = q.data @ np.swapaxes(k.data, -1, -2)
     probs += additive_mask(attn_mask, n, probs.dtype)
@@ -63,7 +66,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     keep = None
-    if dropout_p > 0.0 and gen is not None:
+    if dropout_p > 0.0:
         keep = dropout_mask(probs.shape, dropout_p, probs.dtype, gen)
     out = (probs if keep is None else probs * keep) @ v.data
     # the score gradient reads v; q's gradient reads k and k's reads q

@@ -480,8 +480,14 @@ def gather_positions(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Select positions from a (B, T, d) tensor, returning (K, d)."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
+    if x.data.ndim != 3:
+        raise ValueError(f"gather_positions needs a (B, T, d) tensor, got shape {x.shape}")
     if rows.shape != cols.shape:
         raise ValueError(f"row/col index shapes disagree: {rows.shape} vs {cols.shape}")
+    for name, idx, size in (("row", rows, x.shape[0]), ("column", cols, x.shape[1])):
+        bad = idx[(idx < 0) | (idx >= size)]
+        if bad.size:
+            raise ValueError(f"{name} index {bad.flat[0]} outside [0, {size}) of shape {x.shape}")
     data = x.data[rows, cols]
     shape, dtype = x.shape, x.dtype
 

@@ -113,7 +113,14 @@ class Document:
     id: str | None = None
 
     def __post_init__(self):
-        if not self.text or not self.text.strip():
+        if not isinstance(self.text, str):
+            raise ValueError(f"document text must be a str, got {type(self.text).__name__}")
+        for name in ("label", "id"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"document {name} must be a str or None, "
+                                 f"got {type(value).__name__}")
+        if not self.text.strip():
             raise ValueError("document text is empty after normalization")
 
 

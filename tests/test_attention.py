@@ -84,3 +84,9 @@ def test_bad_inputs_rejected(change, match):
     q, k, v, mask = _inputs(3, "float64")
     with pytest.raises(ValueError, match=match):
         attention_core(*change(q, k, v, mask))
+
+
+def test_dropout_without_generator_rejected():
+    q, k, v, mask = _inputs(3, "float64")
+    with pytest.raises(ValueError, match="gen=None"):
+        attention_core(q, k, v, mask, 0.5, None)

@@ -1,6 +1,8 @@
 """HTML conversion golden files, dump builders, and synthetic corpora."""
 
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +111,20 @@ class TestCleanEchr:
     def test_binary_label_from_violations(self):
         assert clean_echr("T", ["f"], ["6"]).label == "violation"
         assert clean_echr("T", ["f"], []).label == "no-violation"
+
+    @pytest.mark.parametrize("facts", ["1. a fact", ["a fact", 2]])
+    def test_facts_must_be_a_list_of_str(self, facts):
+        with pytest.raises(ValueError, match="facts must be a list of str"):
+            clean_echr("T", facts, [])
+
+    def test_build_echr_names_the_line_of_a_bad_record(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        good = {"title": "T", "facts": ["1. a fact"], "violated_articles": []}
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "facts": "1. a fact"}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad case record (facts")):
+            build_echr(path, tmp_path / "echr")
 
 
 def reddit_dump(n: int = 200) -> list[RawPost]:

@@ -358,6 +358,17 @@ class TestClassify:
                          for i in range(3)])
         np.testing.assert_allclose(got, want, atol=1e-6)
 
+    def test_unbatched_hidden_rejected(self):
+        head = ClassificationHead(Tensor(np.zeros((8, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match=r"\(B, T, d\).*\(5, 8\)"):
+            classify(Tensor(np.zeros((5, 8))), head)
+
+    def test_head_dtype_other_than_hidden_rejected(self):
+        head = ClassificationHead(Tensor(np.zeros((8, 3)), dtype="float64"),
+                                  Tensor(np.zeros(3), dtype="float64"))
+        with pytest.raises(ValueError, match="head.w is float64, hidden states are float32"):
+            classify(Tensor(np.zeros((2, 5, 8)), dtype="float32"), head)
+
     def test_width_mismatch_rejected(self):
         head = ClassificationHead(Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
         with pytest.raises(ValueError, match="width"):
@@ -377,6 +388,10 @@ class TestMlmLogits:
         with pytest.raises(ValueError, match="no masked positions"):
             mlm_logits(hidden, (np.array([], dtype=int), np.array([], dtype=int)),
                        self.weights)
+
+    def test_unbatched_hidden_rejected(self):
+        with pytest.raises(ValueError, match=r"\(B, T, d\).*\(5, 8\)"):
+            mlm_logits(Tensor(np.zeros((5, 8))), (np.array([0]), np.array([1])), self.weights)
 
     def test_matches_head_oracle(self):
         gen = np.random.default_rng(4)

@@ -243,6 +243,17 @@ class TestStructuralOps:
         assert x.grad[0, 2].sum() == 3.0 and x.grad[1, 0].sum() == 3.0
         assert x.grad.sum() == 6.0
 
+    @pytest.mark.parametrize("shape, rows, cols, match", [
+        ((4, 3), [0], [1], r"\(B, T, d\) tensor, got shape \(4, 3\)"),
+        ((2, 4, 3), [-1], [0], "row index -1 outside"),
+        ((2, 4, 3), [0, 5], [0, 0], "row index 5 outside"),
+        ((2, 4, 3), [0], [4], "column index 4 outside"),
+        ((2, 4, 3), [1], [-2], "column index -2 outside"),
+    ], ids=["2d", "row-1", "row5", "col4", "col-2"])
+    def test_gather_positions_rejects_positions_outside_x(self, shape, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            gather_positions(Tensor(np.zeros(shape)), np.array(rows), np.array(cols))
+
     def test_split_merge_heads_roundtrip(self, np_rng):
         x = Tensor(np_rng.normal(size=(2, 5, 8)))
         back = merge_heads(split_heads(x, 4))

@@ -155,8 +155,6 @@ class TestEncodedExample:
     def test_mask_pad_agreement_enforced(self):
         with pytest.raises(ValueError, match=r"\[PAD\] at position 2"):
             EncodedExample(ids=[CLS_ID, 5, PAD_ID])
-
-    def test_pad_inside_ids_refused(self):
         with pytest.raises(ValueError, match=r"\[PAD\] at position 1"):
             EncodedExample(ids=[CLS_ID, PAD_ID, 5])
 
@@ -185,6 +183,15 @@ class TestDocument:
     def test_blank_text_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Document(text="   ")
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"text": 5}, "text must be a str, got int"),
+        ({"text": "x", "label": 3}, "label must be a str or None, got int"),
+        ({"text": "x", "id": 7}, "id must be a str or None, got int"),
+    ])
+    def test_mistyped_field_named(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            Document(**fields)
 
 
 def make_batch(n_rows: int, n_cols: int, vocab_size: int = 100):
@@ -313,6 +320,16 @@ class TestLoadJsonl:
     def test_non_object_line_malformed(self, tmp_path):
         path = self.write(tmp_path, ["[1, 2]"] + [json.dumps({"text": "x"})] * 10)
         with pytest.raises(DataError):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("bad", [{"text": 5}, {"text": "x", "label": 3},
+                                     {"text": "x", "id": 7}])
+    def test_mistyped_field_counts_malformed(self, tmp_path, bad):
+        good = [json.dumps({"text": f"doc {i}"}) for i in range(99)]
+        path = self.write(tmp_path, good + [json.dumps(bad)])
+        assert len(load_jsonl(path)) == 99
+        path = self.write(tmp_path, good[:10] + [json.dumps(bad)])
+        with pytest.raises(DataError, match="1 of 11 lines malformed"):
             load_jsonl(path)
 
     def test_empty_text_malformed(self, tmp_path):
