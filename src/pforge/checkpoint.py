@@ -1,20 +1,24 @@
-"""Binary checkpoint files for encoder weights, prefix sets and heads.
+"""Checkpoint files for encoder weights, prefix sets and heads.
 
-Layout: the ASCII header line ``PFORGE1``, one JSON metadata line (kind,
-model config, config fingerprint), then each tensor as
+A checkpoint is an uncompressed zip in numpy's ``.npz`` layout, so
+``np.load(path)`` reads every tensor: a ``meta.json`` member holds the
+metadata (kind, model config, config fingerprint, extra keys) and each tensor
+is a ``<name>.npy`` member of little-endian float32 in C order, whatever its
+in-memory dtype. The fingerprint lets a later load refuse tensors produced
+under an incompatible ModelConfig.
 
-    u32 name length, UTF-8 name, u32 rank, rank * u32 dims,
-    little-endian float32 values in C order.
+``load_tensors`` checks the archive before it reads tensor bytes: members are
+stored uncompressed and unencrypted, their sizes add up to no more than the
+file (so the bytes read stay bounded by it), names are unique and all but
+``meta.json`` end in ``.npy``, and each ``.npy`` header is version 1.0, ``<f4``
+and C order, declaring exactly its member's remaining bytes. Reading a member
+checks its CRC-32.
 
-All integers are little-endian. Values are stored at 32-bit precision
-regardless of the in-memory dtype. The fingerprint lets a later load refuse
-tensors produced under an incompatible ModelConfig.
-
-``save_group``/``load_group`` are strict both ways. The metadata must be a
-mapping of the right ``kind`` holding a complete, valid ``config``. The
-tensors must be exactly those of the group that config implies, with its
-shapes and finite values; a head's class count is read from ``head.b``.
-Any violation raises ValueError naming the checkpoint path.
+``save_group``/``load_group`` are strict both ways and take the kind from the
+group class. The metadata must be a mapping of the right ``kind`` holding a
+complete, valid ``config``. The tensors must be exactly those of the group
+that config implies, with its shapes and finite values; a head's class count
+is read from ``head.b``. Any violation raises ValueError naming the path.
 """
 
 from __future__ import annotations
@@ -22,39 +26,21 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import tempfile
+import zipfile
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .model import ClassificationHead, EncoderWeights, ModelConfig, ParamGroup, PrefixSet
 from .numerics import Rng, Tensor
 
-MAGIC = b"PFORGE1\n"
-_U32 = struct.Struct("<I")
-_NAME_LIMIT = 4096
-
-
-def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    if not raw or len(raw) > _NAME_LIMIT:
-        raise ValueError(f"tensor name length {len(raw)} outside (0, {_NAME_LIMIT}]")
-    fh.write(_U32.pack(len(raw)))
-    fh.write(raw)
-    fh.write(_U32.pack(arr.ndim))
-    for dim in arr.shape:
-        fh.write(_U32.pack(dim))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_exact(fh, n: int, path: Path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValueError(f"{path}: truncated checkpoint file")
-    return buf
+_META = "meta.json"
+# the "kind" each group class is stored under; these strings are part of the format
+_KINDS = {EncoderWeights: "encoder", PrefixSet: "prefix", ClassificationHead: "head"}
 
 
 def save_tensors(path: str | Path, tensors: dict[str, Tensor | np.ndarray],
@@ -62,17 +48,18 @@ def save_tensors(path: str | Path, tensors: dict[str, Tensor | np.ndarray],
     """Write a checkpoint atomically (tmp file + rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta_line = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    if b"\n" in meta_line:
-        raise ValueError("metadata must serialize to a single line")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(meta_line + b"\n")
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+            # ZipInfo(name) carries a fixed 1980 timestamp, so equal inputs give equal bytes
+            zf.writestr(zipfile.ZipInfo(_META), json.dumps(metadata, sort_keys=True))
             for name, t in tensors.items():
-                arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-                _write_tensor(fh, name, arr)
+                if not name:
+                    raise ValueError("empty tensor name")
+                arr = np.asarray(t.data if isinstance(t, Tensor) else t,
+                                 dtype="<f4", order="C")
+                with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
+                    npy.write_array(member, arr, version=(1, 0), allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,48 +67,38 @@ def save_tensors(path: str | Path, tensors: dict[str, Tensor | np.ndarray],
         raise
 
 
+def _read_npy(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    with zf.open(info) as fh:
+        if npy.read_magic(fh) != (1, 0):
+            raise ValueError(f"{info.filename!r} is not a version 1.0 .npy member")
+        shape, fortran, dtype = npy.read_array_header_1_0(fh)
+        nbytes, left = 4 * math.prod(shape), info.file_size - fh.tell()
+        if dtype != np.dtype("<f4") or fortran or nbytes != left:
+            raise ValueError(f"{info.filename!r} holds {dtype.str} {shape}, fortran_order="
+                             f"{fortran}, in {left} bytes; as <f4 in C order it takes {nbytes}")
+        return np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape).copy()
+
+
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path}: not a PFORGE1 checkpoint")
-        meta_raw = fh.readline()
-        if not meta_raw.endswith(b"\n"):
-            raise ValueError(f"{path}: truncated checkpoint file")
-        try:
-            metadata = json.loads(meta_raw)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path}: bad metadata line: {exc}") from exc
-        tensors: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(_U32.size)
-            if not head:
-                break
-            if len(head) != _U32.size:
-                raise ValueError(f"{path}: truncated checkpoint file")
-            (name_len,) = _U32.unpack(head)
-            if not 0 < name_len <= _NAME_LIMIT:
-                raise ValueError(f"{path}: corrupt checkpoint: name length {name_len}")
-            try:
-                name = _read_exact(fh, name_len, path).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: corrupt checkpoint: tensor name: {exc}") from exc
-            if name in tensors:
-                raise ValueError(f"{path}: duplicate tensor name {name!r}")
-            (rank,) = _U32.unpack(_read_exact(fh, _U32.size, path))
-            if rank > 8:
-                raise ValueError(f"{path}: corrupt checkpoint: rank {rank}")
-            shape = tuple(
-                _U32.unpack(_read_exact(fh, _U32.size, path))[0] for _ in range(rank)
-            )
-            count = math.prod(shape)
-            # checked before reading: a corrupt shape can ask for terabytes
-            if 4 * count > size - fh.tell():
-                raise ValueError(f"{path}: truncated checkpoint file: tensor {name!r} "
-                                 f"of shape {shape} runs past the end")
-            data = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
-            tensors[name] = data.reshape(shape).copy()
+    try:
+        with zipfile.ZipFile(path) as zf:
+            infos, size = zf.infolist(), path.stat().st_size
+            if len({info.filename for info in infos}) != len(infos):
+                raise ValueError("duplicate member name")
+            for info in infos:
+                if info.filename != _META and not info.filename.endswith(".npy"):
+                    raise ValueError(f"member {info.filename!r} is not meta.json or <name>.npy")
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                    raise ValueError(f"member {info.filename!r} is compressed or encrypted")
+            if sum(info.file_size for info in infos) > size:
+                raise ValueError(f"member sizes exceed the file size of {size} bytes")
+            metadata = json.loads(zf.read(_META))
+            tensors = {info.filename[:-4]: _read_npy(zf, info)
+                       for info in infos if info.filename != _META}
+    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: bad checkpoint file: {exc}") from exc
     return tensors, metadata
 
 
@@ -150,25 +127,23 @@ def _read_config(metadata, kind: str, expect: ModelConfig | None,
     return config
 
 
-def _implied_group(kind: str, config: ModelConfig, arrays: dict[str, np.ndarray],
+def _implied_group(cls: type, config: ModelConfig, arrays: dict[str, np.ndarray],
                    path: str | Path) -> ParamGroup:
-    """The group ``config`` implies for ``kind``, checked against ``arrays``.
+    """The ``cls`` group ``config`` implies, checked against ``arrays``.
 
     The group holds placeholder values. A head's class count is not part of
     the config, so it is taken from ``head.b``; a missing ``head.b`` is
     reported by the tensor-set check.
     """
     try:
-        if kind == "encoder":
+        if cls is EncoderWeights:
             group = EncoderWeights(config)
-        elif kind == "prefix":
+        elif cls is PrefixSet:
             group = PrefixSet.init_random(config, Rng(0))
-        elif kind == "head":
+        else:
             num_classes = arrays["head.b"].size if "head.b" in arrays else 2
             group = ClassificationHead.init_random(config.d_model, num_classes, Rng(0),
                                                    config.precision)
-        else:
-            raise ValueError(f"unknown checkpoint kind {kind!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     slots = group.named_tensors()
@@ -188,37 +163,31 @@ def _implied_group(kind: str, config: ModelConfig, arrays: dict[str, np.ndarray]
     return group
 
 
-def save_group(kind: str, path: str | Path, group: ParamGroup, config: ModelConfig,
+def save_group(path: str | Path, group: ParamGroup, config: ModelConfig,
                extra: dict | None = None) -> None:
-    """Write ``group`` as a ``kind`` checkpoint after checking it fits ``config``."""
-    meta = {"kind": kind, "config": asdict(config), "fingerprint": config.fingerprint()}
+    """Write ``group`` as a checkpoint after checking it fits ``config``."""
+    meta = {"kind": _KINDS[type(group)], "config": asdict(config),
+            "fingerprint": config.fingerprint()}
     reserved = meta.keys() & (extra or {}).keys()
     if reserved:
         raise ValueError(f"{path}: metadata keys {sorted(reserved)} are reserved")
     meta.update(extra or {})
     arrays = {name: t.data for name, t in group.named_tensors().items()}
-    _implied_group(kind, config, arrays, path)
+    _implied_group(type(group), config, arrays, path)
     save_tensors(path, arrays, meta)
 
 
-def load_group(kind: str, path: str | Path, expect: ModelConfig | None = None
+def load_group(cls: type, path: str | Path, expect: ModelConfig | None = None
                ) -> tuple[ParamGroup, dict]:
-    """Read a ``kind`` checkpoint into a trainable group; returns (group, metadata)."""
+    """Read a ``cls`` checkpoint into a trainable group; returns (group, metadata)."""
     arrays, metadata = load_tensors(path)
-    config = _read_config(metadata, kind, expect, path)
-    group = _implied_group(kind, config, arrays, path)
+    config = _read_config(metadata, _KINDS[cls], expect, path)
+    group = _implied_group(cls, config, arrays, path)
     for name, slot in group.named_tensors().items():
         slot.data = arrays[name].astype(slot.dtype)
     return group, metadata
 
 
-def save_encoder(path: str | Path, weights: EncoderWeights,
-                 extra: dict | None = None) -> None:
-    save_group("encoder", path, weights, weights.config, extra)
-
-
-load_encoder = partial(load_group, "encoder")
-save_prefix = partial(save_group, "prefix")
-load_prefix = partial(load_group, "prefix")
-save_head = partial(save_group, "head")
-load_head = partial(load_group, "head")
+# bench/workloads.py imports these two names, and bench/tests patches load_prefix
+save_prefix = save_group
+load_prefix = partial(load_group, PrefixSet)

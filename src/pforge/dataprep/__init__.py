@@ -244,8 +244,11 @@ ECHR_NO_VIOLATION = "no-violation"
 def clean_echr(title: str, facts: list[str], violated_articles: list[str],
                case_id: str | None = None) -> Document:
     """Title plus renumber-stripped facts, labeled by any-violation."""
-    if not isinstance(facts, list) or not all(isinstance(f, str) for f in facts):
-        raise ValueError(f"facts must be a list of str, got {facts!r:.60}")
+    if not isinstance(title, str):
+        raise ValueError(f"title must be a str, got {title!r:.60}")
+    for field, value in (("facts", facts), ("violated_articles", violated_articles)):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{field} must be a list of str, got {value!r:.60}")
     cleaned = [_FACT_NUMBER_RE.sub("", fact) for fact in facts]
     label = ECHR_VIOLATION if violated_articles else ECHR_NO_VIOLATION
     return Document(text="\n".join([title] + cleaned), label=label, id=case_id)
@@ -255,7 +258,7 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
     """Binary violation prediction from a JSONL export of cases.
 
     Expected fields per line: title, facts (list of strings),
-    violated_articles (list), optional id.
+    violated_articles (list of strings), optional id.
     """
     path = Path(path)
     try:
@@ -302,8 +305,12 @@ def parse_stackexchange_xml(path: str | Path) -> list[RawPost]:
             created = 0.0
             stamp = elem.get("CreationDate")
             if stamp:
-                created = datetime.fromisoformat(stamp).replace(
-                    tzinfo=timezone.utc).timestamp()
+                try:
+                    created = datetime.fromisoformat(stamp).replace(
+                        tzinfo=timezone.utc).timestamp()
+                except ValueError as exc:
+                    raise DataError(f"{path}: row Id={elem.get('Id')!r}: bad CreationDate "
+                                    f"{stamp!r} ({exc})") from exc
             posts.append(RawPost(
                 id=elem.get("Id", ""),
                 title=title,

@@ -205,14 +205,20 @@ class MetricsTable:
                     if raw == "":
                         kwargs[f.name] = None if f.name != "is_aggregate" else False
                         continue
-                    if f.name == "is_aggregate":
-                        kwargs[f.name] = raw == "1"
-                    elif f.name in ("fewshot_size", "seed", "steps_to_threshold"):
-                        kwargs[f.name] = int(raw)
-                    elif f.name in ("lr", "macro_f1", "ece", "std_macro_f1", "std_ece"):
-                        kwargs[f.name] = float(raw)
-                    else:
-                        kwargs[f.name] = raw
+                    try:
+                        if f.name == "is_aggregate":
+                            if raw not in ("0", "1"):
+                                raise ValueError(f"expected 0 or 1, got {raw!r}")
+                            kwargs[f.name] = raw == "1"
+                        elif f.name in ("fewshot_size", "seed", "steps_to_threshold"):
+                            kwargs[f.name] = int(raw)
+                        elif f.name in ("lr", "macro_f1", "ece", "std_macro_f1", "std_ece"):
+                            kwargs[f.name] = float(raw)
+                        else:
+                            kwargs[f.name] = raw
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{reader.line_num}: column {f.name!r}: "
+                                         f"{exc}") from exc
                 table.append(MetricsRow(**kwargs))
         return table
 

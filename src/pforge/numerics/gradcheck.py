@@ -34,7 +34,6 @@ def grad_check(
     f: Callable[[], Tensor],
     params: dict[str, Tensor],
     h: float = 1e-5,
-    tol: float = 1e-4,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:

@@ -71,7 +71,10 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        try:
+            return cls(lines)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_vocab(texts: Iterable[str], min_freq: int = 1,
@@ -190,6 +193,8 @@ def apply_mlm_mask(ids: np.ndarray, attn_mask: np.ndarray, p_select: float,
         raise ValueError("vocabulary holds no non-special tokens to sample")
     ids = np.asarray(ids)
     attn_mask = np.asarray(attn_mask)
+    if attn_mask.shape != ids.shape:
+        raise ValueError(f"attn_mask shape {attn_mask.shape} differs from ids shape {ids.shape}")
     maskable = (attn_mask == 1) & (ids >= n_specials)
     gen = rng.generator()
 

@@ -1,21 +1,22 @@
-"""PFORGE1 checkpoint format round-trips and corruption handling."""
+"""Checkpoint archives: round-trips, strictness and corruption handling."""
 
+import io
 import json
 import re
-import struct
+import time
+import warnings
+import zipfile
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 from pforge.checkpoint import (
-    MAGIC,
-    load_encoder,
-    load_head,
+    load_group,
     load_prefix,
     load_tensors,
-    save_encoder,
-    save_head,
+    save_group,
     save_prefix,
     save_tensors,
 )
@@ -44,39 +45,28 @@ class TestRawFormat:
             "a": gen.normal(size=(3, 4)).astype(np.float32),
             "b.c": gen.normal(size=(5,)).astype(np.float32),
             "scalarish": np.float32(2.5).reshape(()),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "layer/ünïcode.k": gen.normal(size=(2, 2)).astype(np.float32),
         }
         save_tensors(path, tensors, {"kind": "raw", "note": "x"})
         loaded, meta = load_tensors(path)
         assert meta == {"kind": "raw", "note": "x"}
         assert set(loaded) == set(tensors)
         for name in tensors:
+            assert loaded[name].shape == tensors[name].shape
             assert np.array_equal(loaded[name], tensors[name])
 
-    def test_header_line_is_literal_magic(self, tmp_path):
-        path = tmp_path / "t.ckpt"
-        save_tensors(path, {"a": np.zeros(2, dtype=np.float32)}, {})
-        assert path.read_bytes().startswith(b"PFORGE1\n")
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOTAFMT\n{}\n")
-        with pytest.raises(ValueError, match="not a PFORGE1"):
-            load_tensors(path)
+    def test_empty_tensor_name_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="empty tensor name"):
+            save_tensors(tmp_path / "t.ckpt", {"": np.zeros(2)}, {})
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         save_tensors(path, {"a": np.ones((10, 10), dtype=np.float32)}, {})
         whole = path.read_bytes()
         path.write_bytes(whole[:-17])
-        with pytest.raises(ValueError, match="truncated"):
-            load_tensors(path)
-
-    def test_duplicate_name_rejected(self, tmp_path):
-        path = tmp_path / "t.ckpt"
-        block = struct.pack("<I", 1) + b"a" + struct.pack("<II", 1, 2) \
-            + np.zeros(2, dtype="<f4").tobytes()
-        path.write_bytes(MAGIC + b"{}\n" + block + block)
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_tensors(path)
 
     def test_float64_input_stored_as_float32(self, tmp_path):
@@ -97,8 +87,8 @@ class TestEncoderCheckpoints:
     def test_round_trip_bit_identical(self, tmp_path):
         path = tmp_path / "enc.ckpt"
         weights = EncoderWeights(CFG, Rng(5))
-        save_encoder(path, weights, extra={"step": 12})
-        loaded, meta = load_encoder(path)
+        save_group(path, weights, CFG, extra={"step": 12})
+        loaded, meta = load_group(EncoderWeights, path)
         assert meta["step"] == 12
         assert meta["fingerprint"] == CFG.fingerprint()
         src, dst = weights.named_tensors(), loaded.named_tensors()
@@ -108,15 +98,15 @@ class TestEncoderCheckpoints:
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         path = tmp_path / "enc.ckpt"
-        save_encoder(path, EncoderWeights(CFG, Rng(5)))
+        save_group(path, EncoderWeights(CFG, Rng(5)), CFG)
         with pytest.raises(ValueError, match="fingerprint"):
-            load_encoder(path, expect=desk_config())
+            load_group(EncoderWeights, path, expect=desk_config())
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "p.ckpt"
         save_prefix(path, PrefixSet.init_random(CFG, Rng(1)), CFG)
         with pytest.raises(ValueError, match="kind"):
-            load_encoder(path)
+            load_group(EncoderWeights, path)
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = tmp_path / "enc.ckpt"
@@ -125,12 +115,12 @@ class TestEncoderCheckpoints:
         tensors.pop("final_ln_g")
         save_tensors(path, tensors, _meta("encoder"))
         with pytest.raises(ValueError, match="mismatch"):
-            load_encoder(path)
+            load_group(EncoderWeights, path)
 
     def test_reserved_metadata_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):
-            save_encoder(tmp_path / "x.ckpt", EncoderWeights(CFG, Rng(0)),
-                         extra={"fingerprint": "boom"})
+            save_group(tmp_path / "x.ckpt", EncoderWeights(CFG, Rng(0)), CFG,
+                       extra={"fingerprint": "boom"})
 
 
 class TestPrefixCheckpoints:
@@ -165,8 +155,8 @@ class TestHeadCheckpoints:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "h.ckpt"
         head = ClassificationHead.init_random(CFG.d_model, 5, Rng(2))
-        save_head(path, head, CFG)
-        loaded, _ = load_head(path, expect=CFG)
+        save_group(path, head, CFG)
+        loaded, _ = load_group(ClassificationHead, path, expect=CFG)
         assert loaded.num_classes == 5
         assert np.array_equal(head.w.data, loaded.w.data)
         assert np.array_equal(head.b.data, loaded.b.data)
@@ -208,14 +198,14 @@ class TestStrictness:
     def test_bad_file_rejected_naming_path(self, tmp_path, kind, tensors, metadata):
         path = tmp_path / "bad.ckpt"
         save_tensors(path, tensors, metadata)
-        load = {"prefix": load_prefix, "head": load_head}[kind]
+        cls = {"prefix": PrefixSet, "head": ClassificationHead}[kind]
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            load(path)
+            load_group(cls, path)
 
     @pytest.mark.parametrize("save", [
-        lambda path: save_prefix(
+        lambda path: save_group(
             path, PrefixSet.init_random(replace(CFG, prefix_length=7), Rng(0)), CFG),
-        lambda path: save_head(path, ClassificationHead.init_random(5, 3, Rng(0)), CFG),
+        lambda path: save_group(path, ClassificationHead.init_random(5, 3, Rng(0)), CFG),
     ], ids=["prefix-rows-not-prefix-length", "head-width-not-d-model"])
     def test_group_not_implied_by_config_never_written(self, tmp_path, save):
         path = tmp_path / "bad.ckpt"
@@ -224,40 +214,117 @@ class TestStrictness:
         assert not path.exists()
 
 
-def _u32(*values: int) -> bytes:
-    return struct.pack(f"<{len(values)}I", *values)
+def _zip(path, members, compression=zipfile.ZIP_STORED) -> None:
+    """Write ``members``, (name, bytes) pairs that may repeat a name, as a zip."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zipfile warns on a repeated name
+        with zipfile.ZipFile(path, "w", compression) as zf:
+            for name, data in members:
+                zf.writestr(name, data)
 
 
-def _corrupt_body(meta: bytes) -> dict:
-    """Each damaged tensor section load_tensors must refuse, after a valid header."""
-    block = _u32(1) + b"a" + _u32(1, 2) + np.zeros(2, dtype="<f4").tobytes()
-    return {
-        "metadata-line": meta.rstrip(b"\n"),
-        "tensor-header": meta + b"\x01\x00",
-        "tensor-body": meta + block[:-3],
-        "body-past-end": meta + _u32(1) + b"a" + _u32(2, 2**31, 2**31),
-        "duplicate-name": meta + block + block,
-        "name-length": meta + _u32(0),
-        "name-not-utf8": meta + _u32(1) + b"\xff",
-        "rank": meta + _u32(1) + b"a" + _u32(9),
-    }
+def _npy(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    npy.write_array(buf, arr)
+    return buf.getvalue()
 
 
-class TestCorruptFileNamesPath:
-    @pytest.mark.parametrize("case, message", [
-        ("metadata-line", "truncated"), ("tensor-header", "truncated"),
-        ("tensor-body", "truncated"), ("body-past-end", "truncated"),
-        ("duplicate-name", "duplicate tensor name"), ("name-length", "name length"),
-        ("name-not-utf8", "tensor name"), ("rank", "rank"),
-    ])
-    @pytest.mark.parametrize("kind, load", [("encoder", load_encoder),
-                                            ("prefix", load_prefix)])
-    def test_error_names_path(self, tmp_path, case, message, kind, load):
-        meta = MAGIC + json.dumps(_meta(kind)).encode() + b"\n"
+def _oversized_npy() -> bytes:
+    """A .npy header declaring (1000, 1000) float32 over two values of data."""
+    buf = io.BytesIO()
+    npy.write_array_header_1_0(buf, {"descr": "<f4", "fortran_order": False,
+                                     "shape": (1000, 1000)})
+    return buf.getvalue() + np.zeros(2, dtype="<f4").tobytes()
+
+
+_TENSOR = ("a.npy", _npy(np.zeros(2, dtype="<f4")))
+
+
+def _archive(path, meta: bytes) -> None:
+    _zip(path, [("meta.json", meta), _TENSOR])
+
+
+def _rewrite(path, edit) -> None:
+    path.write_bytes(edit(bytearray(path.read_bytes())))
+
+
+def _inflate_last_member(blob: bytearray) -> bytearray:
+    """Declare the last central-directory entry 100 MB uncompressed."""
+    at = blob.rfind(b"PK\x01\x02") + 24
+    blob[at:at + 4] = (10**8).to_bytes(4, "little")
+    return blob
+
+
+# each case: (writer of a damaged archive given its meta.json bytes, message regex)
+_CORRUPT = {
+    "not-a-zip": (lambda path, meta: path.write_bytes(b"PFORGE1\n" + meta + b"\n"),
+                  "not a zip file"),
+    "truncated-archive": (lambda path, meta: (_archive(path, meta),
+                                              _rewrite(path, lambda b: b[:-30])),
+                          "not a zip file"),
+    "no-meta-json": (lambda path, meta: _zip(path, [_TENSOR]), "meta.json"),
+    "meta-json-not-json": (lambda path, meta: _zip(path, [("meta.json", meta[:-1]), _TENSOR]),
+                           "Expecting"),
+    "duplicate-member": (lambda path, meta: _zip(path, [("meta.json", meta), _TENSOR, _TENSOR]),
+                         "duplicate member"),
+    "member-without-npy": (lambda path, meta: _zip(path, [("meta.json", meta), ("a", b"")]),
+                           "not meta.json or"),
+    "compressed-member": (lambda path, meta: _zip(path, [
+        ("meta.json", meta), ("a.npy", _npy(np.zeros(200, "<f4")))], zipfile.ZIP_DEFLATED),
+                          "compressed"),
+    "float64-member": (lambda path, meta: _zip(path, [
+        ("meta.json", meta), ("a.npy", _npy(np.zeros(2, "<f8")))]), "<f8"),
+    "header-shape-too-large": (lambda path, meta: _zip(path, [
+        ("meta.json", meta), ("a.npy", _oversized_npy())]), "it takes 4000000"),
+    "member-sizes-exceed-file": (lambda path, meta: (_archive(path, meta),
+                                                     _rewrite(path, _inflate_last_member)),
+                                 "exceed the file size"),
+}
+
+
+class TestCorruptArchive:
+    @pytest.mark.parametrize("case", list(_CORRUPT))
+    @pytest.mark.parametrize("kind, cls", [("encoder", EncoderWeights), ("prefix", PrefixSet)],
+                             ids=["encoder", "prefix"])
+    def test_error_names_path(self, tmp_path, kind, cls, case):
+        write, message = _CORRUPT[case]
         path = tmp_path / f"{kind}.ckpt"
-        path.write_bytes(_corrupt_body(meta)[case])
+        write(path, json.dumps(_meta(kind)).encode())
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
-            load(path)
+            load_group(cls, path)
+
+
+def test_flipped_byte_in_tensor_data_rejected(tmp_path):
+    path = tmp_path / "p.ckpt"
+    prefix = PrefixSet.init_random(CFG, Rng(9))
+    save_prefix(path, prefix, CFG)
+    blob = bytearray(path.read_bytes())
+    start = blob.find(prefix.p_v[1].data.astype("<f4").tobytes())
+    assert start > 0
+    blob[start + 4 * 5] ^= 0x01  # lowest mantissa byte: the value stays finite
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*CRC"):
+        load_group(PrefixSet, path)
+
+
+def test_equal_inputs_give_equal_bytes(tmp_path, monkeypatch):
+    prefix = PrefixSet.init_random(CFG, Rng(9))
+    save_prefix(tmp_path / "a.ckpt", prefix, CFG)
+    later = time.time() + 3600
+    monkeypatch.setattr(time, "time", lambda: later)
+    save_prefix(tmp_path / "b.ckpt", prefix, CFG)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_np_load_reads_every_tensor(tmp_path):
+    path = tmp_path / "p.ckpt"
+    prefix = PrefixSet.init_random(CFG, Rng(9))
+    save_prefix(path, prefix, CFG)
+    with np.load(path) as archive:
+        assert set(archive.files) == {"meta.json", *prefix.named_tensors()}
+        for name, t in prefix.named_tensors().items():
+            assert archive[name].dtype == np.dtype("<f4")
+            assert np.array_equal(archive[name], t.data)
 
 
 def test_mistyped_config_field_named_with_path(tmp_path):

@@ -117,6 +117,25 @@ class TestCleanEchr:
         with pytest.raises(ValueError, match="facts must be a list of str"):
             clean_echr("T", facts, [])
 
+    @pytest.mark.parametrize("violated", ["none", ["6", 6], None])
+    def test_violated_articles_must_be_a_list_of_str(self, violated):
+        with pytest.raises(ValueError, match="violated_articles must be a list of str"):
+            clean_echr("T", ["a fact"], violated)
+
+    def test_title_must_be_a_str(self):
+        with pytest.raises(ValueError, match="title must be a str"):
+            clean_echr(5, ["a fact"], [])
+
+    def test_build_echr_names_the_line_of_mistyped_violations(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        good = {"title": "T", "facts": ["1. a fact"], "violated_articles": []}
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "violated_articles": "none"}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad case record "
+                                                      "(violated_articles")):
+            build_echr(path, tmp_path / "echr")
+
     def test_build_echr_names_the_line_of_a_bad_record(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         good = {"title": "T", "facts": ["1. a fact"], "violated_articles": []}
@@ -300,6 +319,13 @@ class TestStackExchangeXml:
         path = tmp_path / "Posts.xml"
         path.write_text("<posts><row broken")
         with pytest.raises(DataError, match="XML"):
+            parse_stackexchange_xml(path)
+
+    def test_bad_creation_date_names_path_row_and_field(self, tmp_path):
+        path = tmp_path / "Posts.xml"
+        path.write_text(self.XML.replace("2020-01-02T03:04:05.000", "not-a-date"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: row Id='1': bad CreationDate "
+                                                      "'not-a-date'")):
             parse_stackexchange_xml(path)
 
 

@@ -118,7 +118,7 @@ OPS = ["matmul", "softmax_rows", "layer_norm", "cross_entropy", "concat_seq",
 def test_op_gradients_match_finite_differences(op):
     for trial in range(N_TRIALS):
         f, params = op_cases(op, seed=1000 * trial + 7)
-        report = grad_check(f, params, tol=TOL)
+        report = grad_check(f, params)
         assert report.ok(TOL), (op, trial, report)
 
 

@@ -1,5 +1,7 @@
 """Metric oracles, aggregation arithmetic, and report rendering."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,20 @@ class TestMetricsTableCsv:
         path = tmp_path / "m.csv"
         path.write_text("method,dataset\nft,s\n")
         with pytest.raises(ValueError, match="missing columns"):
+            MetricsTable.from_csv(path)
+
+    @pytest.mark.parametrize("column, value", [("fewshot_size", "eight"),
+                                               ("is_aggregate", "yes"), ("lr", "fast")])
+    def test_bad_cell_names_path_line_and_column(self, tmp_path, column, value):
+        path = tmp_path / "m.csv"
+        rows = [MetricsRow(method="ft", dataset="synthetic", fewshot_size=32, seed=s, lr=5e-4)
+                for s in (10, 20)]
+        MetricsTable(rows).to_csv(path)
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = value
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: column {column!r}")):
             MetricsTable.from_csv(path)
 
 

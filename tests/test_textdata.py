@@ -1,6 +1,7 @@
 """Vocabulary, tokenization, truncation, JSONL loading, and MLM masking."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestVocab:
         lines = path.read_text().splitlines()
         assert lines[:4] == list(SPECIALS)
         assert lines[4] == "alpha"
+
+    @pytest.mark.parametrize("lines, message", [
+        (["a", "b", *SPECIALS], "must start with specials"),
+        ([*SPECIALS, "a", "", "b"], "empty token"),
+    ], ids=["specials-not-first", "empty-token"])
+    def test_load_errors_name_the_file(self, tmp_path, lines, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+            Vocab.load(path)
 
 
 class TestBuildVocab:
@@ -274,6 +285,12 @@ class TestApplyMlmMask:
                 targets=np.array([[IGNORE_INDEX, 5]]),
                 positions=(np.array([0]), np.array([0])),
             )
+
+    def test_mask_shape_must_match_ids(self):
+        ids, mask = make_batch(2, 8)
+        with pytest.raises(ValueError, match=re.escape("attn_mask shape (8,) differs from "
+                                                       "ids shape (2, 8)")):
+            apply_mlm_mask(ids, mask[0], 0.15, Rng(0), 100)
 
     def test_vocab_without_plain_tokens_rejected(self):
         ids, mask = make_batch(2, 8)
