@@ -7,6 +7,7 @@ import time
 import warnings
 import zipfile
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -61,12 +62,24 @@ class TestRawFormat:
             save_tensors(tmp_path / "t.ckpt", {"": np.zeros(2)}, {})
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"PFORGE1\n{}\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*not a zip file"):
+            load_tensors(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         save_tensors(path, {"a": np.ones((10, 10), dtype=np.float32)}, {})
         whole = path.read_bytes()
         path.write_bytes(whole[:-17])
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_tensors(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        _zip(path, [("meta.json", b"{}"), _TENSOR, _TENSOR])
+        with pytest.raises(ValueError, match="duplicate"):
             load_tensors(path)
 
     def test_float64_input_stored_as_float32(self, tmp_path):
@@ -255,18 +268,25 @@ def _inflate_last_member(blob: bytearray) -> bytearray:
     return blob
 
 
-# each case: (writer of a damaged archive given its meta.json bytes, message regex)
+# each case, keyed by its test id: (writer of a damaged archive given its
+# meta.json bytes, message regex)
 _CORRUPT = {
-    "not-a-zip": (lambda path, meta: path.write_bytes(b"PFORGE1\n" + meta + b"\n"),
-                  "not a zip file"),
     "truncated-archive": (lambda path, meta: (_archive(path, meta),
                                               _rewrite(path, lambda b: b[:-30])),
                           "not a zip file"),
     "no-meta-json": (lambda path, meta: _zip(path, [_TENSOR]), "meta.json"),
-    "meta-json-not-json": (lambda path, meta: _zip(path, [("meta.json", meta[:-1]), _TENSOR]),
-                           "Expecting"),
-    "duplicate-member": (lambda path, meta: _zip(path, [("meta.json", meta), _TENSOR, _TENSOR]),
-                         "duplicate member"),
+    "metadata-line-truncated": (lambda path, meta: _zip(path, [("meta.json", meta[:-1]),
+                                                               _TENSOR]),
+                                "Expecting"),
+    "tensor-header-truncated": (lambda path, meta: _zip(path, [
+        ("meta.json", meta), ("a.npy", _npy(np.zeros(2, "<f4"))[:20])]), "EOF"),
+    "tensor-body-truncated": (lambda path, meta: _zip(path, [
+        ("meta.json", meta), ("a.npy", _npy(np.zeros(10, "<f4"))[:-8])]), "it takes 40"),
+    "body-past-end-truncated": (lambda path, meta: _zip(path, [
+        ("meta.json", meta), ("a.npy", _oversized_npy())]), "it takes 4000000"),
+    "duplicate-name-duplicate tensor name": (
+        lambda path, meta: _zip(path, [("meta.json", meta), _TENSOR, _TENSOR]),
+        "duplicate member"),
     "member-without-npy": (lambda path, meta: _zip(path, [("meta.json", meta), ("a", b"")]),
                            "not meta.json or"),
     "compressed-member": (lambda path, meta: _zip(path, [
@@ -274,24 +294,22 @@ _CORRUPT = {
                           "compressed"),
     "float64-member": (lambda path, meta: _zip(path, [
         ("meta.json", meta), ("a.npy", _npy(np.zeros(2, "<f8")))]), "<f8"),
-    "header-shape-too-large": (lambda path, meta: _zip(path, [
-        ("meta.json", meta), ("a.npy", _oversized_npy())]), "it takes 4000000"),
     "member-sizes-exceed-file": (lambda path, meta: (_archive(path, meta),
                                                      _rewrite(path, _inflate_last_member)),
                                  "exceed the file size"),
 }
 
 
-class TestCorruptArchive:
+class TestCorruptFileNamesPath:
     @pytest.mark.parametrize("case", list(_CORRUPT))
-    @pytest.mark.parametrize("kind, cls", [("encoder", EncoderWeights), ("prefix", PrefixSet)],
-                             ids=["encoder", "prefix"])
-    def test_error_names_path(self, tmp_path, kind, cls, case):
+    @pytest.mark.parametrize("kind, load", [("encoder", partial(load_group, EncoderWeights)),
+                                            ("prefix", load_prefix)])
+    def test_error_names_path(self, tmp_path, case, kind, load):
         write, message = _CORRUPT[case]
         path = tmp_path / f"{kind}.ckpt"
         write(path, json.dumps(_meta(kind)).encode())
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
-            load_group(cls, path)
+            load(path)
 
 
 def test_flipped_byte_in_tensor_data_rejected(tmp_path):
