@@ -104,14 +104,13 @@ class DatasetManifest:
         for split in self.SPLITS:
             for doc in self.load_split(split):
                 if doc.label is not None and doc.label not in known:
-                    raise DataError(
-                        f"{split}.jsonl: label {doc.label!r} missing from labels.txt"
-                    )
+                    raise DataError(f"{self.split_path(split)}: label {doc.label!r} "
+                                    "missing from labels.txt")
                 if doc.id is not None:
                     if doc.id in seen and seen[doc.id] != split:
-                        raise DataError(
-                            f"id {doc.id!r} appears in both {seen[doc.id]} and {split}"
-                        )
+                        raise DataError(f"id {doc.id!r} appears in both "
+                                        f"{self.split_path(seen[doc.id])} and "
+                                        f"{self.split_path(split)}")
                     seen[doc.id] = split
 
     @classmethod

@@ -1,12 +1,15 @@
-"""Macro F1, top-1 calibration error, seed aggregation, and report emission.
+"""Macro F1, top-1 calibration error, per-run results rows, and the report.
 
 Metric conventions, chosen so tables are byte-reproducible:
 
 - macro F1 averages over every class of the task, including classes absent
   from both predictions and labels; 0/0 precision-recall cases count as 0.
-- ECE uses 10 equal-width right-inclusive confidence bins over (0, 1].
-- Aggregation over seeds uses the population standard deviation (the seeds
-  are the whole population of reported runs) rendered as "64.0₍2.8₎".
+- ECE uses ECE_BINS = 10 equal-width right-inclusive confidence bins over (0, 1].
+- A MetricsRow records one run. The report groups runs by (method, dataset,
+  fewshot_size) and aggregates their seeds itself: the mean and population
+  standard deviation (the seeds are the whole population of reported runs),
+  rendered as "64.0₍2.8₎". So, without curves, report.md is a function of
+  metrics.csv: rendering the rows read back from it gives the same bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,23 +89,24 @@ def macro_f1(log: PredictionLog) -> float:
     return total / c
 
 
-def ece_top1(log: PredictionLog, n_bins: int = 10) -> float:
+ECE_BINS = 10
+
+
+def ece_top1(log: PredictionLog) -> float:
     """Expected calibration error of the top-1 prediction.
 
-    Confidence is the max probability; bins partition (0, 1] into n_bins
+    Confidence is the max probability; bins partition (0, 1] into ECE_BINS
     equal widths, right-inclusive, so a confidence of exactly 0.8 falls in
     (0.7, 0.8]. Empty bins contribute nothing.
     """
     if len(log) == 0:
         raise ValueError("empty prediction log")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be positive, got {n_bins}")
     conf = log.probs.max(axis=1)
     correct = (log.predictions() == log.labels).astype(np.float64)
-    idx = np.clip(np.ceil(conf * n_bins).astype(int) - 1, 0, n_bins - 1)
+    idx = np.clip(np.ceil(conf * ECE_BINS).astype(int) - 1, 0, ECE_BINS - 1)
     n = len(log)
     total = 0.0
-    for b in range(n_bins):
+    for b in range(ECE_BINS):
         members = idx == b
         m = int(members.sum())
         if m == 0:
@@ -121,19 +125,19 @@ def aggregate(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=0))
 
 
-def format_mean_std(mean: float, std: float, decimals: int = 1) -> str:
+def format_mean_std(mean: float, std: float) -> str:
     """Subscripted std convention, e.g. 64.0₍2.8₎."""
-    return f"{mean:.{decimals}f}₍{std:.{decimals}f}₎"
+    return f"{mean:.1f}₍{std:.1f}₎"
 
 
 # ---------------------------------------------------------------------------
-# results table
+# results rows
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class MetricsRow:
-    """One protocol cell, or one aggregate over seeds (is_aggregate set)."""
+    """One run: a (method, dataset, fewshot_size, seed) cell of the protocol."""
 
     method: str
     dataset: str
@@ -144,83 +148,77 @@ class MetricsRow:
     ece: float | None = None
     steps_to_threshold: int | None = None
     checkpoint_path: str | None = None
-    is_aggregate: bool = False
-    std_macro_f1: float | None = None
-    std_ece: float | None = None
     failure: str | None = None
+
+    def __post_init__(self):
+        for name in ("method", "dataset"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{name} must be a non-empty str, got {value!r}")
+        if not isinstance(self.fewshot_size, int) or isinstance(self.fewshot_size, bool):
+            raise ValueError(f"fewshot_size must be an int, got {self.fewshot_size!r}")
+        for name in ("macro_f1", "ece"):
+            value = getattr(self, name)
+            # written so that NaN fails the range test too
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 _CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
+_REQUIRED_COLUMNS = ("method", "dataset", "fewshot_size")
+_INT_COLUMNS = ("fewshot_size", "seed", "steps_to_threshold")
+_FLOAT_COLUMNS = ("lr", "macro_f1", "ece")
 
 
-class MetricsTable:
-    def __init__(self, rows: Iterable[MetricsRow] = ()):
-        self.rows: list[MetricsRow] = list(rows)
+def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
+    """One line per run; floats as repr (exact round trip), None as an empty cell."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        record = {}
+        for col in _CSV_COLUMNS:
+            value = getattr(row, col)
+            if value is None:
+                record[col] = ""
+            elif col in _FLOAT_COLUMNS:
+                record[col] = repr(float(value))
+            else:
+                record[col] = str(value)
+        writer.writerow(record)
+    path.write_text(buf.getvalue(), encoding="utf-8")
 
-    def append(self, row: MetricsRow) -> None:
-        self.rows.append(row)
 
-    def extend(self, rows: Iterable[MetricsRow]) -> None:
-        self.rows.extend(rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def aggregates(self) -> list[MetricsRow]:
-        return [r for r in self.rows if r.is_aggregate]
-
-    def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            record = {}
+def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        for rec in reader:
+            kwargs = {}
             for col in _CSV_COLUMNS:
-                value = getattr(row, col)
-                if value is None:
-                    record[col] = ""
-                elif isinstance(value, bool):
-                    record[col] = "1" if value else "0"
-                elif isinstance(value, float):
-                    record[col] = repr(value)
-                else:
-                    record[col] = str(value)
-            writer.writerow(record)
-        path.write_text(buf.getvalue(), encoding="utf-8")
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "MetricsTable":
-        table = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise ValueError(f"{path}: missing columns {sorted(missing)}")
-            for rec in reader:
-                kwargs = {}
-                for f in fields(MetricsRow):
-                    raw = rec[f.name]
-                    if raw == "":
-                        kwargs[f.name] = None if f.name != "is_aggregate" else False
-                        continue
-                    try:
-                        if f.name == "is_aggregate":
-                            if raw not in ("0", "1"):
-                                raise ValueError(f"expected 0 or 1, got {raw!r}")
-                            kwargs[f.name] = raw == "1"
-                        elif f.name in ("fewshot_size", "seed", "steps_to_threshold"):
-                            kwargs[f.name] = int(raw)
-                        elif f.name in ("lr", "macro_f1", "ece", "std_macro_f1", "std_ece"):
-                            kwargs[f.name] = float(raw)
-                        else:
-                            kwargs[f.name] = raw
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{reader.line_num}: column {f.name!r}: "
-                                         f"{exc}") from exc
-                table.append(MetricsRow(**kwargs))
-        return table
+                raw = rec[col]
+                try:
+                    if raw == "" and col not in _REQUIRED_COLUMNS:
+                        kwargs[col] = None
+                    elif col in _INT_COLUMNS:
+                        kwargs[col] = int(raw)
+                    elif col in _FLOAT_COLUMNS:
+                        kwargs[col] = float(raw)
+                    else:
+                        kwargs[col] = raw
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: column {col!r}: "
+                                     f"{exc}") from exc
+            try:
+                rows.append(MetricsRow(**kwargs))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +239,12 @@ class Curve:
             raise ValueError("steps and values lengths differ")
 
 
-def write_curve_csv(path: str | Path, curves: Sequence[Curve],
-                    value_name: str = "value") -> None:
+def write_curve_csv(path: str | Path, curves: Sequence[Curve]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "step", value_name])
+    writer.writerow(["series", "step", "value"])
     for curve in curves:
         for s, v in zip(curve.steps, curve.values):
             writer.writerow([curve.name, repr(float(s)), repr(float(v))])
@@ -257,8 +254,7 @@ def write_curve_csv(path: str | Path, curves: Sequence[Curve],
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def render_curve_svg(curves: Sequence[Curve], title: str,
-                     xlabel: str = "step", ylabel: str = "value") -> str:
+def render_curve_svg(curves: Sequence[Curve], title: str) -> str:
     """Minimal deterministic polyline plot; CSV remains the authoritative data."""
     width, height = 640, 400
     ml, mr, mt, mb = 60, 20, 40, 50
@@ -290,9 +286,9 @@ def render_curve_svg(curves: Sequence[Curve], title: str,
         f'stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-        f'font-size="12">{_esc(xlabel)}</text>',
+        f'font-size="12">step</text>',
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{_esc(ylabel)}</text>',
+        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">value</text>',
         f'<text x="{ml}" y="{mt + ph + 16}" text-anchor="middle" '
         f'font-size="10">{x0:g}</text>',
         f'<text x="{ml + pw}" y="{mt + ph + 16}" text-anchor="middle" '
@@ -319,31 +315,40 @@ def _esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def _mark(cell: str, mean: float, best: float, second: float | None) -> str:
-    if mean == best:
-        return f"**{cell}**"
-    if second is not None and mean == second:
-        return f"<u>{cell}</u>"
-    return cell
+def _cells(rows: Sequence[MetricsRow]) -> dict[tuple[str, str, int], list[MetricsRow]]:
+    """Runs grouped by (method, dataset, fewshot_size), in first-use order.
 
-
-def render_markdown_table(table: MetricsTable, dataset: str) -> str:
-    """Methods as rows, fewshot sizes as columns; best bold, runner-up underlined."""
-    rows = [r for r in table.aggregates() if r.dataset == dataset]
-    if not rows:
-        return ""
-    sizes = sorted({r.fewshot_size for r in rows})
-    methods = []
+    A repeated seed within a group is refused: its mean would mix two runs.
+    """
+    cells: dict[tuple[str, str, int], list[MetricsRow]] = {}
+    seen = set()
     for r in rows:
-        if r.method not in methods:
-            methods.append(r.method)
-    by_cell = {(r.method, r.fewshot_size): r for r in rows}
+        key = (r.method, r.dataset, r.fewshot_size, r.seed)
+        if key in seen:
+            raise ValueError(f"duplicate run for (method, dataset, fewshot_size, seed) "
+                             f"= {key}")
+        seen.add(key)
+        cells.setdefault(key[:3], []).append(r)
+    return cells
+
+
+def render_markdown_table(rows: Sequence[MetricsRow], dataset: str) -> str:
+    """Methods as rows, fewshot sizes as columns; best bold, runner-up underlined.
+
+    A cell is the mean₍std₎ of its runs' macro F1, or its first failed run's failure.
+    """
+    by_cell = {(m, k): runs for (m, d, k), runs in _cells(rows).items() if d == dataset}
+    if not by_cell:
+        return ""
+    sizes = sorted({k for _, k in by_cell})
+    methods = list(dict.fromkeys(m for m, _ in by_cell))
+    stats = {key: aggregate([r.macro_f1 for r in runs]) for key, runs in by_cell.items()
+             if all(r.macro_f1 is not None for r in runs)}
     # per-size best and second-best means, ties for best leave no second-best
     best: dict[int, float] = {}
     second: dict[int, float | None] = {}
     for size in sizes:
-        means = [r.macro_f1 for r in rows
-                 if r.fewshot_size == size and r.macro_f1 is not None]
+        means = [mean for (_, k), (mean, _) in stats.items() if k == size]
         if not means:
             continue
         top = max(means)
@@ -356,62 +361,56 @@ def render_markdown_table(table: MetricsTable, dataset: str) -> str:
     for method in methods:
         cells = [method]
         for size in sizes:
-            row = by_cell.get((method, size))
-            if row is None:
+            key = (method, size)
+            if key not in by_cell:
                 cells.append("-")
-            elif row.macro_f1 is None:
-                cells.append(f"failed: {row.failure or 'unknown'}")
+            elif key not in stats:
+                failed = next(r for r in by_cell[key] if r.macro_f1 is None)
+                cells.append(f"failed: {failed.failure or 'unknown'}")
             else:
-                text = format_mean_std(100 * row.macro_f1,
-                                       100 * (row.std_macro_f1 or 0.0))
-                cells.append(_mark(text, row.macro_f1, best[size],
-                                   second.get(size)))
+                mean, std = stats[key]
+                text = format_mean_std(100 * mean, 100 * std)
+                if mean == best[size]:
+                    text = f"**{text}**"
+                elif mean == second[size]:
+                    text = f"<u>{text}</u>"
+                cells.append(text)
         lines.append("| " + " | ".join(cells) + " |")
     lines.append("")
     return "\n".join(lines)
 
 
-def render_report(table: MetricsTable, out_dir: str | Path,
-                  calibration: MetricsTable | None = None,
+def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
                   curves: dict[str, list[Curve]] | None = None) -> Path:
-    """Write report.md plus metrics.csv, calibration.csv, and SVG curves.
+    """Write report.md, metrics.csv and, for each curve set, an SVG and a CSV.
 
     Returns the path of the Markdown report. Outputs are deterministic
-    functions of the inputs.
+    functions of the inputs; every mean and std is computed from the rows.
     """
-    if len(table) == 0:
+    if not rows:
         raise ValueError("empty metrics table")
+    cells = _cells(rows)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out_dir / "metrics.csv")
+    write_metrics_csv(out_dir / "metrics.csv", rows)
     lines = ["# Results", "",
              "Macro F1 (percent), mean over seeds with population-std subscripts.",
              ""]
-    datasets = []
-    for r in table.aggregates():
-        if r.dataset not in datasets:
-            datasets.append(r.dataset)
-    for dataset in datasets:
-        lines.append(render_markdown_table(table, dataset))
-    if calibration is not None and len(calibration):
-        calibration.to_csv(out_dir / "calibration.csv")
-        lines.append("## Calibration")
-        lines.append("")
-        lines.append("| method | dataset | size | ECE |")
-        lines.append("|---|---|---|---|")
-        for r in calibration.aggregates():
-            if r.ece is None:
-                continue
-            cell = format_mean_std(100 * r.ece, 100 * (r.std_ece or 0.0))
-            lines.append(f"| {r.method} | {r.dataset} | {r.fewshot_size} | {cell} |")
+    for dataset in dict.fromkeys(r.dataset for r in rows):
+        lines.append(render_markdown_table(rows, dataset))
+    calibrated = {key: aggregate([r.ece for r in runs]) for key, runs in cells.items()
+                  if all(r.ece is not None for r in runs)}
+    if calibrated:
+        lines += ["## Calibration", "", "| method | dataset | size | ECE |", "|---|---|---|---|"]
+        for (method, dataset, size), (mean, std) in calibrated.items():
+            cell = format_mean_std(100 * mean, 100 * std)
+            lines.append(f"| {method} | {dataset} | {size} | {cell} |")
         lines.append("")
     if curves:
-        lines.append("## Curves")
-        lines.append("")
+        lines += ["## Curves", ""]
         for name in sorted(curves):
             svg = render_curve_svg(curves[name], title=name)
-            svg_path = out_dir / f"{name}.svg"
-            svg_path.write_text(svg, encoding="utf-8")
+            (out_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
             write_curve_csv(out_dir / f"{name}.csv", curves[name])
             lines.append(f"![{name}]({name}.svg)")
         lines.append("")

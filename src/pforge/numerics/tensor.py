@@ -401,11 +401,11 @@ def gelu(a: Tensor) -> Tensor:
 IGNORE_INDEX = -100
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:
-    """Mean negative log-softmax over rows whose target is not the ignore marker.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-softmax over rows whose target is not IGNORE_INDEX.
 
-    logits: (N, C); targets: (N,) integer class ids, ignore_index elsewhere.
-    Raises if every row is ignored.
+    logits: (N, C); targets: (N,) integer class ids, IGNORE_INDEX on rows
+    that carry no loss. Raises if every row is ignored.
     """
     targets = np.asarray(targets)
     if logits.data.ndim != 2:
@@ -413,7 +413,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNOR
     n, c = logits.data.shape
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} does not match logits rows {n}")
-    keep = targets != ignore_index
+    keep = targets != IGNORE_INDEX
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise ValueError("empty loss: all targets carry the ignore marker")

@@ -358,6 +358,16 @@ class TestDatasetManifestValidation:
         with pytest.raises(DataError, match="missing from labels"):
             DatasetManifest(root).validate()
 
+    def test_unknown_label_names_dataset_directory(self, tmp_path):
+        root = tmp_path / "bad"
+        root.mkdir()
+        save_jsonl(root / "train.jsonl", [Document(text="x", label="z", id="1")])
+        for name in ("dev", "test", "unlabeled"):
+            save_jsonl(root / f"{name}.jsonl", [])
+        (root / "labels.txt").write_text("a\n")
+        with pytest.raises(DataError, match=re.escape(f"{root / 'train.jsonl'}: label 'z'")):
+            DatasetManifest(root).validate()
+
     def test_cross_split_id_caught(self, tmp_path):
         root = tmp_path / "bad"
         root.mkdir()
@@ -366,7 +376,8 @@ class TestDatasetManifestValidation:
         save_jsonl(root / "test.jsonl", [])
         save_jsonl(root / "unlabeled.jsonl", [])
         (root / "labels.txt").write_text("a\n")
-        with pytest.raises(DataError, match="appears in both"):
+        with pytest.raises(DataError, match=re.escape(
+                f"appears in both {root / 'train.jsonl'} and {root / 'dev.jsonl'}")):
             DatasetManifest(root).validate()
 
 

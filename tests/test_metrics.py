@@ -8,7 +8,6 @@ import pytest
 from pforge.metrics import (
     Curve,
     MetricsRow,
-    MetricsTable,
     PredictionLog,
     aggregate,
     ece_top1,
@@ -16,8 +15,10 @@ from pforge.metrics import (
     macro_f1,
     render_curve_svg,
     render_markdown_table,
+    read_metrics_csv,
     render_report,
     write_curve_csv,
+    write_metrics_csv,
 )
 
 
@@ -154,7 +155,7 @@ class TestEceTop1:
         probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.6, 0.4], [0.55, 0.45]])
         labels = np.array([0, 1, 0, 1])
         log = PredictionLog(probs=probs, labels=labels)
-        assert ece_top1(log, n_bins=10) == pytest.approx(0.2625, abs=1e-12)
+        assert ece_top1(log) == pytest.approx(0.2625, abs=1e-12)
         assert ece_oracle(probs, labels) == pytest.approx(0.2625, abs=1e-12)
 
     def test_boundary_confidence_goes_to_left_closed_bin(self):
@@ -175,11 +176,6 @@ class TestEceTop1:
         log = PredictionLog(probs=np.zeros((0, 3)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
             ece_top1(log)
-
-    def test_bad_bin_count_rejected(self):
-        log = random_log(np.random.default_rng(0), 4, 2)
-        with pytest.raises(ValueError, match="n_bins"):
-            ece_top1(log, n_bins=0)
 
 
 class TestAgainstOracles:
@@ -237,86 +233,153 @@ class TestAggregate:
         assert format_mean_std(64.0, 2.83) == "64.0₍2.8₎"
 
 
-def agg_row(method, size, mean, std, dataset="synthetic"):
-    return MetricsRow(method=method, dataset=dataset, fewshot_size=size,
-                      macro_f1=mean, std_macro_f1=std, is_aggregate=True)
+def runs(method, size, *f1s, dataset="synthetic", **extra):
+    """One row per seed, seeds 0, 1, ... in order."""
+    return [MetricsRow(method=method, dataset=dataset, fewshot_size=size, seed=seed,
+                       macro_f1=f1, **extra) for seed, f1 in enumerate(f1s)]
 
 
 class TestRendering:
     def test_single_cell_table_uses_subscript_format(self, tmp_path):
-        table = MetricsTable([agg_row("pt2", 32, 0.64, 0.028)])
-        md = render_markdown_table(table, "synthetic")
+        md = render_markdown_table(runs("pt2", 32, 0.60, 0.62, 0.64, 0.66, 0.68), "synthetic")
         assert "64.0₍2.8₎" in md
 
+    def test_two_seeds_aggregate_to_mean_and_population_std(self):
+        md = render_markdown_table(runs("pt2", 32, 0.612, 0.668), "synthetic")
+        assert "| pt2 | **64.0₍2.8₎** |" in md
+
     def test_best_bold_second_underlined(self):
-        table = MetricsTable([
-            agg_row("ft", 32, 0.40, 0.01),
-            agg_row("pt2", 32, 0.50, 0.01),
-            agg_row("prefix-domain-adapt", 32, 0.60, 0.01),
-        ])
-        md = render_markdown_table(table, "synthetic")
+        rows = (runs("ft", 32, 0.39, 0.41) + runs("pt2", 32, 0.49, 0.51)
+                + runs("prefix-domain-adapt", 32, 0.59, 0.61))
+        md = render_markdown_table(rows, "synthetic")
         assert "**60.0₍1.0₎**" in md
         assert "<u>50.0₍1.0₎</u>" in md
         assert "**40" not in md and "<u>40" not in md
 
     def test_tie_for_best_marks_both_no_second(self):
-        table = MetricsTable([
-            agg_row("ft", 32, 0.60, 0.01),
-            agg_row("pt2", 32, 0.60, 0.02),
-            agg_row("prefix-adapt", 32, 0.50, 0.01),
-        ])
-        md = render_markdown_table(table, "synthetic")
+        # 0.59/0.61 and 0.58/0.62 have the same float mean, 0.6
+        assert aggregate([0.59, 0.61])[0] == aggregate([0.58, 0.62])[0]
+        rows = (runs("ft", 32, 0.59, 0.61) + runs("pt2", 32, 0.58, 0.62)
+                + runs("prefix-adapt", 32, 0.49, 0.51))
+        md = render_markdown_table(rows, "synthetic")
         assert md.count("**60.0") == 2
         assert "<u>" not in md
 
     def test_failed_cell_carries_provenance(self):
-        table = MetricsTable([
-            agg_row("ft", 32, 0.60, 0.01),
-            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32,
-                       is_aggregate=True, failure="diverged at lr=0.05"),
-        ])
-        md = render_markdown_table(table, "synthetic")
+        rows = runs("ft", 32, 0.59, 0.61) + [
+            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32, seed=0,
+                       failure="diverged at lr=0.05")]
+        md = render_markdown_table(rows, "synthetic")
         assert "failed: diverged at lr=0.05" in md
 
+    def test_failed_seed_fails_its_cell(self):
+        rows = runs("ft", 32, 0.59, 0.61) + [
+            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32, seed=0,
+                       macro_f1=0.9),
+            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32, seed=1,
+                       failure="non-finite loss at step 3"),
+            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32, seed=2,
+                       failure="diverged")]
+        md = render_markdown_table(rows, "synthetic")
+        assert "| pt2 | failed: non-finite loss at step 3 |" in md
+        # the failed cell's surviving seed takes no part in the marking
+        assert "| ft | **60.0₍1.0₎** |" in md
+
+    def test_duplicate_run_refused(self, tmp_path):
+        rows = [MetricsRow(method="ft", dataset="synthetic", fewshot_size=32, seed=1,
+                           lr=lr, macro_f1=0.5) for lr in (1e-3, 1e-4)]
+        key = re.escape("('ft', 'synthetic', 32, 1)")
+        with pytest.raises(ValueError, match=f"duplicate run .*{key}"):
+            render_markdown_table(rows, "synthetic")
+        with pytest.raises(ValueError, match=f"duplicate run .*{key}"):
+            render_report(rows, tmp_path)
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_report_writes_md_and_csv(self, tmp_path):
-        table = MetricsTable([
-            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32,
-                       seed=10, lr=0.02, macro_f1=0.61, ece=0.12),
-            agg_row("pt2", 32, 0.61, 0.0),
-        ])
-        report = render_report(table, tmp_path)
+        rows = [MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32,
+                           seed=10, lr=0.02, macro_f1=0.61, ece=0.12)]
+        report = render_report(rows, tmp_path)
         assert report.read_text().startswith("# Results")
         assert (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "calibration.csv").exists()
+
+    def test_calibration_section_from_row_ece(self, tmp_path):
+        rows = [MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32, seed=seed,
+                           macro_f1=0.5, ece=ece) for seed, ece in enumerate((0.10, 0.14))]
+        rows += runs("ft", 32, 0.5, 0.6, dataset="echr")
+        text = render_report(rows, tmp_path).read_text()
+        assert "## Calibration" in text
+        assert "| pt2 | synthetic | 32 | 12.0₍2.0₎ |" in text
+        # a cell whose runs carry no ECE is not listed
+        assert "| ft | echr |" not in text
+
+    def test_no_ece_no_calibration_section(self, tmp_path):
+        text = render_report(runs("pt2", 32, 0.5, 0.6), tmp_path).read_text()
+        assert "## Calibration" not in text
 
     def test_empty_curves_omit_section(self, tmp_path):
-        table = MetricsTable([agg_row("pt2", 32, 0.5, 0.0)])
-        report = render_report(table, tmp_path, curves={})
+        report = render_report(runs("pt2", 32, 0.5), tmp_path, curves={})
         assert "## Curves" not in report.read_text()
 
     def test_curves_rendered_and_linked(self, tmp_path):
-        table = MetricsTable([agg_row("pt2", 32, 0.5, 0.0)])
         curves = {"convergence": [Curve("pt2", [0, 10, 20], [0.2, 0.4, 0.5])]}
-        report = render_report(table, tmp_path, curves=curves)
+        report = render_report(runs("pt2", 32, 0.5), tmp_path, curves=curves)
         text = report.read_text()
         assert "![convergence](convergence.svg)" in text
         svg = (tmp_path / "convergence.svg").read_text()
         assert "<polyline" in svg and "step" in svg
 
     def test_report_bytes_deterministic(self, tmp_path):
-        table = MetricsTable([
-            agg_row("pt2", 32, 0.61, 0.02),
-            agg_row("ft", 32, 0.55, 0.01),
-        ])
+        rows = runs("pt2", 32, 0.59, 0.63) + runs("ft", 32, 0.54, 0.56)
         curves = {"c": [Curve("pt2", [0.0, 1.0], [0.1, 0.2])]}
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        render_report(table, a_dir, curves=curves)
-        render_report(table, b_dir, curves=curves)
+        render_report(rows, a_dir, curves=curves)
+        render_report(rows, b_dir, curves=curves)
         for name in ("report.md", "metrics.csv", "c.svg", "c.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_report_regenerates_from_metrics_csv(self, tmp_path):
+        rows = [
+            *runs("ft", 8, 0.41, 0.47, 0.4, lr=5e-4, ece=0.2, steps_to_threshold=30),
+            *runs("pt2", 8, 0.3, 1 / 3, 0.35, lr=1e-2, ece=0.15),
+            MetricsRow(method="prefix-domain-adapt", dataset="synthetic", fewshot_size=8,
+                       seed=0, lr=1e-2, macro_f1=0.5, checkpoint_path="runs/pda, seed 0.npz"),
+            MetricsRow(method="prefix-domain-adapt", dataset="synthetic", fewshot_size=8,
+                       seed=1, lr=1e-2, failure='diverged: "loss" = nan'),
+            *runs("ft", 16, 0.55, 0.61, dataset="echr", ece=0.05),
+        ]
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        render_report(rows, a_dir)
+        assert read_metrics_csv(a_dir / "metrics.csv") == rows
+        render_report(read_metrics_csv(a_dir / "metrics.csv"), b_dir)
+        for name in ("report.md", "metrics.csv"):
+            assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+        text = (a_dir / "report.md").read_text()
+        assert "## Calibration" in text and "failed: diverged" in text
+        assert sorted(p.name for p in b_dir.iterdir()) == ["metrics.csv", "report.md"]
+
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            render_report(MetricsTable(), tmp_path)
+            render_report([], tmp_path)
+
+
+class TestMetricsRow:
+    @pytest.mark.parametrize("field, value", [
+        ("method", ""), ("method", None), ("method", 3), ("dataset", ""),
+        ("dataset", None), ("fewshot_size", "8"), ("fewshot_size", 8.0),
+        ("fewshot_size", True), ("fewshot_size", None), ("macro_f1", 1.5),
+        ("macro_f1", -0.01), ("macro_f1", float("nan")), ("ece", float("nan")),
+        ("ece", 2.0)])
+    def test_bad_field_rejected(self, field, value):
+        kwargs = dict(method="ft", dataset="synthetic", fewshot_size=8)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            MetricsRow(**kwargs)
+
+    def test_unit_interval_ends_accepted(self):
+        row = MetricsRow(method="ft", dataset="synthetic", fewshot_size=8,
+                         macro_f1=0.0, ece=1.0)
+        assert (row.macro_f1, row.ece) == (0.0, 1.0)
 
 
 class TestMetricsTableCsv:
@@ -325,35 +388,60 @@ class TestMetricsTableCsv:
             MetricsRow(method="ft", dataset="synthetic", fewshot_size=32, seed=10,
                        lr=5e-4, macro_f1=0.5523, ece=0.081,
                        steps_to_threshold=40, checkpoint_path="x.ckpt"),
-            MetricsRow(method="ft", dataset="synthetic", fewshot_size=32,
-                       is_aggregate=True, macro_f1=0.55, std_macro_f1=0.012),
+            MetricsRow(method="ft", dataset="synthetic", fewshot_size=32, seed=11,
+                       lr=5e-4, macro_f1=0.5477, ece=0.09),
             MetricsRow(method="pt2", dataset="synthetic", fewshot_size=64, seed=20,
                        failure="diverged"),
         ]
         path = tmp_path / "m.csv"
-        MetricsTable(rows).to_csv(path)
-        loaded = MetricsTable.from_csv(path)
-        assert loaded.rows == rows
+        write_metrics_csv(path, rows)
+        assert read_metrics_csv(path) == rows
+
+    def test_numpy_floats_written_as_plain_floats(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8,
+                                            lr=np.float32(0.5), macro_f1=np.float64(0.25))])
+        assert "np." not in path.read_text()
+        (row,) = read_metrics_csv(path)
+        assert (row.lr, row.macro_f1) == (0.5, 0.25)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("method,dataset\nft,s\n")
         with pytest.raises(ValueError, match="missing columns"):
-            MetricsTable.from_csv(path)
+            read_metrics_csv(path)
 
-    @pytest.mark.parametrize("column, value", [("fewshot_size", "eight"),
-                                               ("is_aggregate", "yes"), ("lr", "fast")])
-    def test_bad_cell_names_path_line_and_column(self, tmp_path, column, value):
-        path = tmp_path / "m.csv"
+    @staticmethod
+    def _write_with_bad_cell(path, column, value):
         rows = [MetricsRow(method="ft", dataset="synthetic", fewshot_size=32, seed=s, lr=5e-4)
                 for s in (10, 20)]
-        MetricsTable(rows).to_csv(path)
+        write_metrics_csv(path, rows)
         header, first, second = path.read_text().splitlines()
         cells = second.split(",")
         cells[header.split(",").index(column)] = value
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+
+    @pytest.mark.parametrize("column, value", [("fewshot_size", "eight"),
+                                               ("seed", "1.5"), ("lr", "fast")])
+    def test_bad_cell_names_path_line_and_column(self, tmp_path, column, value):
+        path = tmp_path / "m.csv"
+        self._write_with_bad_cell(path, column, value)
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: column {column!r}")):
-            MetricsTable.from_csv(path)
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize("column", ["method", "dataset", "fewshot_size"])
+    def test_empty_required_cell_names_path_line_and_column(self, tmp_path, column):
+        path = tmp_path / "m.csv"
+        self._write_with_bad_cell(path, column, "")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + f".*{column}"):
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize("column, value", [("macro_f1", "nan"), ("ece", "1.5")])
+    def test_out_of_range_cell_names_path_and_line(self, tmp_path, column, value):
+        path = tmp_path / "m.csv"
+        self._write_with_bad_cell(path, column, value)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {column} must lie")):
+            read_metrics_csv(path)
 
 
 class TestCurves:
@@ -363,9 +451,9 @@ class TestCurves:
 
     def test_curve_csv_contents(self, tmp_path):
         path = tmp_path / "c.csv"
-        write_curve_csv(path, [Curve("a", [0, 5], [0.25, 0.5])], value_name="f1")
+        write_curve_csv(path, [Curve("a", [0, 5], [0.25, 0.5])])
         lines = path.read_text().splitlines()
-        assert lines[0] == "series,step,f1"
+        assert lines[0] == "series,step,value"
         assert lines[1] == "a,0.0,0.25"
 
     def test_svg_no_points_rejected(self):
