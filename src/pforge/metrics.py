@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields
+import math
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +31,6 @@ class PredictionLog:
 
     probs: np.ndarray          # (N, C) rows sum to 1
     labels: np.ndarray         # (N,) int in [0, C)
-    ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -43,8 +44,6 @@ class PredictionLog:
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match {n} examples"
             )
-        if self.ids and len(self.ids) != n:
-            raise ValueError(f"ids length {len(self.ids)} does not match {n} examples")
         if n:
             bad = np.flatnonzero(~np.isfinite(self.probs).all(axis=1))
             if bad.size:
@@ -135,6 +134,9 @@ def format_mean_std(mean: float, std: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED_COLUMNS = ("method", "dataset", "fewshot_size")
+
+
 @dataclass
 class MetricsRow:
     """One run: a (method, dataset, fewshot_size, seed) cell of the protocol."""
@@ -151,12 +153,23 @@ class MetricsRow:
     failure: str | None = None
 
     def __post_init__(self):
-        for name in ("method", "dataset"):
+        # every field must survive the metrics.csv round trip unchanged
+        for name in ("method", "dataset", "checkpoint_path", "failure"):
             value = getattr(self, name)
+            if value is None and name not in _REQUIRED_COLUMNS:
+                continue
             if not isinstance(value, str) or not value:
                 raise ValueError(f"{name} must be a non-empty str, got {value!r}")
-        if not isinstance(self.fewshot_size, int) or isinstance(self.fewshot_size, bool):
-            raise ValueError(f"fewshot_size must be an int, got {self.fewshot_size!r}")
+        for name in ("fewshot_size", "seed", "steps_to_threshold"):
+            value = getattr(self, name)
+            if value is None and name not in _REQUIRED_COLUMNS:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        lr = self.lr
+        if lr is not None and (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                               or not (math.isfinite(lr) and lr > 0)):
+            raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         for name in ("macro_f1", "ece"):
             value = getattr(self, name)
             # written so that NaN fails the range test too
@@ -165,7 +178,6 @@ class MetricsRow:
 
 
 _CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
-_REQUIRED_COLUMNS = ("method", "dataset", "fewshot_size")
 _INT_COLUMNS = ("fewshot_size", "seed", "steps_to_threshold")
 _FLOAT_COLUMNS = ("lr", "macro_f1", "ece")
 

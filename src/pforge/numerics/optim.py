@@ -1,62 +1,30 @@
-"""AdamW with decoupled weight decay."""
+"""AdamW with decoupled weight decay (Loshchilov & Hutter, arXiv 1711.05101).
+
+Only the learning rate is settable: every method in the comparison uses
+BETAS = (0.9, 0.999), EPS = 1e-8 and WEIGHT_DECAY = 0.01.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .tensor import Tensor
 
-
-def adamw_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> None:
-    """One in-place update; ``t`` is the 1-based step count.
-
-    Weight decay shrinks the parameter directly and never enters the moment
-    estimates. Moments are bias-corrected with 1 - beta^t.
-    """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if param.shape != grad.shape:
-        raise ValueError(f"param/grad shape mismatch: {param.shape} vs {grad.shape}")
-    b1, b2 = betas
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * (grad * grad)
-    mhat = m / (1.0 - b1**t)
-    vhat = v / (1.0 - b2**t)
-    if weight_decay:
-        param -= lr * weight_decay * param
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class AdamW:
     """Optimizer over a named parameter dict; state keyed by name."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+    def __init__(self, params: dict[str, Tensor], lr: float):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.params = dict(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._state = {
             name: (np.zeros_like(p.data), np.zeros_like(p.data))
@@ -64,16 +32,28 @@ class AdamW:
         }
 
     def step(self) -> None:
-        """Apply one update to every parameter; missing grads count as zero."""
+        """Apply one update to every parameter; missing grads count as zero.
+
+        Weight decay shrinks the parameter directly and never enters the
+        moment estimates. Moments are bias-corrected with 1 - beta^t.
+        """
         self.t += 1
+        b1, b2 = BETAS
         for name, p in self.params.items():
+            param = p.data
             m, v = self._state[name]
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            adamw_step(
-                p.data, grad, m, v, self.t,
-                lr=self.lr, betas=self.betas, eps=self.eps,
-                weight_decay=self.weight_decay,
-            )
+            grad = p.grad if p.grad is not None else np.zeros_like(param)
+            if grad.shape != param.shape:
+                raise ValueError(f"{name}: grad shape {grad.shape} differs from "
+                                 f"param shape {param.shape}")
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * (grad * grad)
+            mhat = m / (1.0 - b1**self.t)
+            vhat = v / (1.0 - b2**self.t)
+            param -= self.lr * WEIGHT_DECAY * param
+            param -= self.lr * mhat / (np.sqrt(vhat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -24,6 +24,12 @@ STREAM_DROPOUT = "dropout"
 _MASK64 = (1 << 64) - 1
 
 
+def _require_int(value, what: str) -> None:
+    """Refuse floats and bools: 1.5 would share int(1.5)'s stream, True 1's."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 def _name_key(name: str) -> int:
     digest = hashlib.blake2s(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
@@ -37,6 +43,7 @@ class Rng:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _require_int(self.seed, "seed")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -46,6 +53,7 @@ class Rng:
 
     def child(self, index: int) -> "Rng":
         """Numbered sub-stream, e.g. one per training step."""
+        _require_int(index, "child index")
         if index < 0:
             raise ValueError(f"child index must be non-negative, got {index}")
         return Rng(self.seed, self.path + (int(index),))

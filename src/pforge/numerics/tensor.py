@@ -300,11 +300,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(data, (a,), lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    return scale(sum_all(a), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # core encoder operations
 # ---------------------------------------------------------------------------
@@ -350,7 +345,10 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(y, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = a.data.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -361,7 +359,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
     need_a, need_gain, need_bias = a.requires_grad, gain.requires_grad, bias.requires_grad

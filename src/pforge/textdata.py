@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -77,8 +77,7 @@ class Vocab:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def build_vocab(texts: Iterable[str], min_freq: int = 1,
-                max_size: int = 50000) -> Vocab:
+def build_vocab(texts: Iterable[str], max_size: int = 50000) -> Vocab:
     """Rank tokens by frequency, ties lexicographic; specials always lead."""
     if max_size < len(SPECIALS) + 1:
         raise ValueError(f"max_size must exceed the {len(SPECIALS)} specials")
@@ -89,7 +88,7 @@ def build_vocab(texts: Iterable[str], min_freq: int = 1,
         counts.update(word_split(text))
     if n_texts == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    counts = {t: c for t, c in counts.items() if c >= min_freq and t not in SPECIALS}
+    counts = {t: c for t, c in counts.items() if t not in SPECIALS}
     ranked = sorted(counts, key=lambda t: (-counts[t], t))
     return Vocab(SPECIALS + tuple(ranked[: max_size - len(SPECIALS)]))
 
@@ -166,15 +165,18 @@ def collate(examples: Sequence[EncodedExample]
 
 @dataclass
 class MaskedBatch:
+    """A corrupted batch and its MLM targets.
+
+    ``positions`` is not an input: it is derived once from ``targets`` as the
+    (rows, cols) of every non-ignored target, in row-major order.
+    """
+
     input_ids: np.ndarray   # (B, T) after corruption
     targets: np.ndarray     # (B, T) original ids at selected positions, else ignore
-    positions: tuple[np.ndarray, np.ndarray]  # rows, cols of selections
+    positions: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        sel = np.zeros(self.input_ids.shape, dtype=bool)
-        sel[self.positions] = True
-        if not np.array_equal(sel, self.targets != IGNORE_INDEX):
-            raise ValueError("targets and selection positions disagree")
+        self.positions = np.nonzero(self.targets != IGNORE_INDEX)
 
 
 def apply_mlm_mask(ids: np.ndarray, attn_mask: np.ndarray, p_select: float,
@@ -212,8 +214,7 @@ def apply_mlm_mask(ids: np.ndarray, attn_mask: np.ndarray, p_select: float,
     to_random = selected & (roll >= 0.8) & (roll < 0.9)
     out[to_mask] = MASK_ID
     out[to_random] = gen.integers(n_specials, vocab_size, size=int(to_random.sum()))
-    rows, cols = np.nonzero(selected)
-    return MaskedBatch(input_ids=out, targets=targets, positions=(rows, cols))
+    return MaskedBatch(input_ids=out, targets=targets)
 
 
 def load_jsonl(path: str | Path) -> list[Document]:

@@ -95,11 +95,6 @@ class TestPredictionLog:
         with pytest.raises(ValueError, match="2 classes"):
             PredictionLog(probs=np.array([[1.0]]), labels=np.array([0]))
 
-    def test_ids_length_checked(self):
-        with pytest.raises(ValueError, match="ids length"):
-            PredictionLog(probs=np.array([[0.5, 0.5]]), labels=np.array([0]),
-                          ids=["a", "b"])
-
 
 class TestMacroF1:
     def test_all_correct_is_one(self):
@@ -369,7 +364,11 @@ class TestMetricsRow:
         ("dataset", None), ("fewshot_size", "8"), ("fewshot_size", 8.0),
         ("fewshot_size", True), ("fewshot_size", None), ("macro_f1", 1.5),
         ("macro_f1", -0.01), ("macro_f1", float("nan")), ("ece", float("nan")),
-        ("ece", 2.0)])
+        ("ece", 2.0), ("seed", 1.5), ("seed", True), ("seed", "1"),
+        ("steps_to_threshold", 2.5), ("steps_to_threshold", False), ("lr", -1.0),
+        ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")), ("lr", True),
+        ("lr", "0.1"), ("failure", ""), ("failure", 3), ("checkpoint_path", ""),
+        ("checkpoint_path", b"x.ckpt")])
     def test_bad_field_rejected(self, field, value):
         kwargs = dict(method="ft", dataset="synthetic", fewshot_size=8)
         kwargs[field] = value

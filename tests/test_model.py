@@ -548,7 +548,7 @@ class TestFreezingSoundness:
         before = {n: t.data.copy() for n, t in weights.named_tensors().items()}
 
         params = {**prefix.named_tensors(), **head.named_tensors()}
-        opt = AdamW(params, lr=1e-2, weight_decay=0.01)
+        opt = AdamW(params, lr=1e-2)
         ids = np.array([[2, 7, 8, 9], [2, 11, 12, 0]])
         mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
         labels = np.array([0, 2])

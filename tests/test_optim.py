@@ -1,79 +1,82 @@
 import numpy as np
 import pytest
 
-from pforge.numerics import AdamW, adamw_step, parameter
+from pforge.numerics import AdamW, parameter
+
+# The hand-worked values below assume the fixed hyperparameters
+# betas=(0.9, 0.999), eps=1e-8 and weight decay 0.01.
 
 
-def test_zero_grad_zero_decay_leaves_params():
-    p = np.array([1.0, -2.0, 3.0])
-    m = np.zeros(3)
-    v = np.zeros(3)
-    adamw_step(p, np.zeros(3), m, v, t=1, lr=0.1, weight_decay=0.0)
-    np.testing.assert_array_equal(p, [1.0, -2.0, 3.0])
+def one_param(value, grad=None):
+    p = parameter(np.array(value, dtype=np.float64), dtype="float64")
+    p.grad = None if grad is None else np.array(grad, dtype=np.float64)
+    return p
 
 
 def test_single_step_hand_computation():
-    # p=1, g=1, lr=0.1, betas=(0.9, 0.999), wd=0:
-    # m_hat = v_hat = 1 after bias correction, so p -> 1 - 0.1/(1 + 1e-8)
-    p = np.array([1.0])
-    adamw_step(p, np.array([1.0]), np.zeros(1), np.zeros(1), t=1, lr=0.1)
-    np.testing.assert_allclose(p, [0.9], atol=1e-7)
+    # p=1, g=1, lr=0.1: m_hat = v_hat = 1 after bias correction, so
+    # p -> 1 - 0.1*0.01*1 - 0.1/(1 + 1e-8)
+    p = one_param([1.0], [1.0])
+    AdamW({"p": p}, lr=0.1).step()
+    np.testing.assert_allclose(p.data, [0.899], atol=1e-7)
 
 
 def test_decay_with_zero_grad_is_pure_shrink():
-    p = np.array([2.0])
-    adamw_step(p, np.array([0.0]), np.zeros(1), np.zeros(1), t=1,
-               lr=0.1, weight_decay=0.5)
-    np.testing.assert_allclose(p, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-12)
+    p = one_param([2.0], [0.0])
+    AdamW({"p": p}, lr=0.1).step()
+    np.testing.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.01)], rtol=1e-12)
 
 
 def test_decay_decoupled_from_moments():
     # gradients do not pick up the decay term: moments depend only on g
-    p = np.array([10.0])
-    m = np.zeros(1)
-    v = np.zeros(1)
-    adamw_step(p, np.array([1.0]), m, v, t=1, lr=0.01, weight_decay=0.1)
+    p = one_param([10.0], [1.0])
+    opt = AdamW({"p": p}, lr=0.01)
+    opt.step()
+    m, v = opt._state["p"]
     np.testing.assert_allclose(m, [0.1])
     np.testing.assert_allclose(v, [0.001])
 
 
 def test_rejects_non_positive_lr():
-    with pytest.raises(ValueError, match="learning rate"):
-        adamw_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=1, lr=0.0)
-    with pytest.raises(ValueError, match="learning rate"):
-        AdamW({"p": parameter(np.zeros(1))}, lr=-1.0)
+    for lr in (0.0, -1.0):
+        with pytest.raises(ValueError, match="learning rate"):
+            AdamW({"p": parameter(np.zeros(1))}, lr=lr)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_rejects_non_finite_lr(lr):
+    # nan <= 0 is false, so a bare sign test would accept NaN and the first
+    # step would turn every parameter into NaN
+    with pytest.raises(ValueError, match=f"learning rate.*{lr}"):
+        AdamW({"p": parameter(np.zeros(1))}, lr=lr)
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        adamw_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), t=1, lr=0.1)
+    p = one_param(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match="layer0.w: grad shape"):
+        AdamW({"layer0.w": p}, lr=0.1).step()
 
 
 def test_optimizer_updates_only_named_params():
-    a = parameter(np.ones(2), dtype="float64")
-    b = parameter(np.ones(2), dtype="float64")
-    a.grad = np.ones(2)
-    b.grad = np.ones(2)
-    opt = AdamW({"a": a}, lr=0.1, weight_decay=0.0)
-    opt.step()
+    a = one_param(np.ones(2), np.ones(2))
+    b = one_param(np.ones(2), np.ones(2))
+    AdamW({"a": a}, lr=0.1).step()
     assert not np.array_equal(a.data, np.ones(2))
     np.testing.assert_array_equal(b.data, np.ones(2))
 
 
 def test_optimizer_missing_grad_counts_as_zero():
-    a = parameter(np.ones(2), dtype="float64")
-    opt = AdamW({"a": a}, lr=0.1, weight_decay=0.5)
-    opt.step()
-    np.testing.assert_allclose(a.data, np.full(2, 0.95))
+    a = one_param(np.ones(2))
+    AdamW({"a": a}, lr=0.1).step()
+    np.testing.assert_allclose(a.data, np.full(2, 1 - 0.1 * 0.01), rtol=1e-12)
 
 
 def test_two_steps_match_sequential_hand_rollout():
-    p_lib = np.array([1.0])
-    m = np.zeros(1)
-    v = np.zeros(1)
-    grads = [np.array([0.5]), np.array([-0.25])]
-    for t, g in enumerate(grads, start=1):
-        adamw_step(p_lib, g, m, v, t=t, lr=0.05)
+    p_lib = one_param([1.0])
+    opt = AdamW({"p": p_lib}, lr=0.05)
+    for g in (0.5, -0.25):
+        p_lib.grad = np.array([g])
+        opt.step()
 
     # independent rollout of the update rule
     p = 1.0
@@ -83,5 +86,6 @@ def test_two_steps_match_sequential_hand_rollout():
         vv = 0.999 * vv + 0.001 * g * g
         mh = mm / (1 - 0.9**t)
         vh = vv / (1 - 0.999**t)
+        p -= 0.05 * 0.01 * p
         p -= 0.05 * mh / (np.sqrt(vh) + 1e-8)
-    np.testing.assert_allclose(p_lib, [p], rtol=1e-12)
+    np.testing.assert_allclose(p_lib.data, [p], rtol=1e-12)

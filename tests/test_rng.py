@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,23 @@ def test_seed_range_validated():
 def test_child_index_validated():
     with pytest.raises(ValueError):
         Rng(10).child(-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(2.0), "1"])
+def test_non_integer_seed_rejected(bad):
+    # Rng(True) would draw exactly like Rng(1)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {bad!r}")):
+        Rng(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, False, np.float32(1.0)])
+def test_non_integer_child_index_rejected(bad):
+    # child(1.5) would share child(1)'s path, so two indices one stream
+    with pytest.raises(ValueError, match=re.escape(f"child index must be an int, got {bad!r}")):
+        Rng(10).child(bad)
+
+
+def test_numpy_integers_accepted():
+    a = Rng(np.uint64(10)).child(np.int64(3)).generator().random(4)
+    b = Rng(10).child(3).generator().random(4)
+    np.testing.assert_array_equal(a, b)
