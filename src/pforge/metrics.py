@@ -172,8 +172,12 @@ class MetricsRow:
             raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         for name in ("macro_f1", "ece"):
             value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             # written so that NaN fails the range test too
-            if value is not None and not 0.0 <= value <= 1.0:
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 

@@ -4,17 +4,17 @@
 n prefix keys followed by T real keys: the score product, the additive
 padding mask, the exact row softmax and inverted dropout run in place on
 one B×h×T×(n+T) buffer, and the backward keeps only the probabilities and
-the dropout mask. Composed from matmul, mask add, ``softmax_rows`` and
-``dropout`` on the tape, each step would hold a buffer of that size per op
-and allocate a gradient for each. The caller scales q by 1/√dₕ, which
-touches T×dₕ entries per head instead of T×(n+T).
+the one-byte dropout keep mask. Composed from matmul, mask add,
+``softmax_rows`` and ``dropout`` on the tape, each step would hold a buffer
+of that size per op and allocate a gradient for each. The caller scales q
+by 1/√dₕ, which touches T×dₕ entries per head instead of T×(n+T).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NEG_INF, Tensor, _make, dropout_mask
+from .tensor import NEG_INF, Tensor, _apply_keep, _make, dropout_mask
 
 
 def additive_mask(attn_mask: np.ndarray, n: int, dtype) -> np.ndarray:
@@ -65,10 +65,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = None
+    keep = s = None
     if dropout_p > 0.0:
-        keep = dropout_mask(probs.shape, dropout_p, probs.dtype, gen)
-    out = (probs if keep is None else probs * keep) @ v.data
+        keep = dropout_mask(probs.shape, dropout_p, gen)
+        s = probs.dtype.type(1.0 / (1.0 - dropout_p))
+    out = (probs if keep is None else _apply_keep(probs, keep, s)) @ v.data
     # the score gradient reads v; q's gradient reads k and k's reads q
     need_v = v.requires_grad
     vd = v.data if q.requires_grad or k.requires_grad else None
@@ -78,12 +79,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
     def bwd(g):
         gq = gk = gv = None
         if need_v:
-            dropped = probs if keep is None else probs * keep
+            dropped = probs if keep is None else _apply_keep(probs, keep, s)
             gv = np.swapaxes(dropped, -1, -2) @ g
         if vd is not None:
             gs = g @ np.swapaxes(vd, -1, -2)
             if keep is not None:
-                gs *= keep
+                _apply_keep(gs, keep, s, out=gs)
             # softmax backward: probs * (gs - rowsum(gs * probs))
             gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
             gs *= probs

@@ -46,6 +46,12 @@ class Rng:
         _require_int(self.seed, "seed")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if not isinstance(self.path, tuple):
+            raise ValueError(f"path must be a tuple, got {self.path!r}")
+        for key in self.path:
+            _require_int(key, "path entry")
+            if not 0 <= key <= _MASK64:
+                raise ValueError(f"path entry must fit in 64 bits, got {key}")
 
     def stream(self, name: str) -> "Rng":
         """Named sub-stream, e.g. rng.stream('masking')."""

@@ -24,7 +24,10 @@ drops each one once its node's closure has consumed it, and releases each
 node's closure and parent links as soon as the node has run. Only leaves
 get ``.grad``, and they accumulate it across calls. A graph can therefore be
 walked once: a second ``backward()`` that reaches a consumed node raises
-``ValueError``.
+``ValueError``. A dropout keep mask is saved as ``bool``, one byte per entry,
+and applied as ``(x * keep) * s`` with ``s = 1/(1-p)`` at x's dtype: that has
+the bits of ``x * m`` for the float mask ``m = keep * s``, since ``x * 1 == x``
+and ``(±0) * s == ±0``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+
+from .special import erf
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -386,10 +390,18 @@ _INV_SQRT2PI = 0.3989422804014327
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU, x·Φ(x) with Φ(x) = (1 + erf(x/√2)) / 2.
+
+    ``erf`` is pforge's port of cephes ``ndtr.c``: at float32 its values
+    equal ``scipy.special.erf``'s bit for bit, at float64 they are within
+    1 ulp (see ``numerics/special.py``).
+    """
     x = a.data
-    # Python float scalars keep the array's dtype, so nothing needs a cast
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    # Python float scalars keep the array's dtype, so nothing needs a cast;
+    # in place, this is 0.5 * (1.0 + erf(...)) without two temporaries
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     y = x * cdf
     # backward reads only the derivative, so the tape keeps it and not x or cdf
     deriv = cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)) if a.requires_grad else None
@@ -497,26 +509,34 @@ def gather_positions(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def dropout_mask(shape: Sequence[int], p: float, dtype: np.dtype,
-                 gen: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask at ``dtype``: 1/(1-p) on kept entries, 0 elsewhere.
+def dropout_mask(shape: Sequence[int], p: float, gen: np.random.Generator) -> np.ndarray:
+    """Boolean inverted-dropout keep mask: True where an entry is kept.
 
     N entries take N 32-bit words, read from ceil(N/2) raw 64-bit draws of
     gen's bit generator; an entry is kept where its word is at least
     round(p * 2**32), so it is dropped with probability p to within 2**-32.
+    Callers scale kept entries by 1/(1-p) through ``_apply_keep``.
     """
     size = math.prod(shape)
     words = gen.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
-    keep = words >= np.uint32(min(round(p * 2**32), 2**32 - 1))
-    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype).reshape(shape)
+    return (words >= np.uint32(min(round(p * 2**32), 2**32 - 1))).reshape(shape)
+
+
+def _apply_keep(x: np.ndarray, keep: np.ndarray, s,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """(x * keep) * s: x under the float mask keep * s, with the same bits."""
+    out = np.multiply(x, keep, out=out)
+    out *= s
+    return out
 
 
 def dropout(x: Tensor, p: float, gen: np.random.Generator) -> Tensor:
     """Inverted dropout with keep-probability 1-p; mask drawn from gen."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"dropout probability must be in (0, 1), got {p}")
-    mask = dropout_mask(x.shape, p, x.dtype, gen)
-    return _make(x.data * mask, (x,), lambda g: (g * mask,))
+    keep = dropout_mask(x.shape, p, gen)
+    s = x.dtype.type(1.0 / (1.0 - p))
+    return _make(_apply_keep(x.data, keep, s), (x,), lambda g: (_apply_keep(g, keep, s),))
 
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:

@@ -363,8 +363,9 @@ class TestMetricsRow:
         ("method", ""), ("method", None), ("method", 3), ("dataset", ""),
         ("dataset", None), ("fewshot_size", "8"), ("fewshot_size", 8.0),
         ("fewshot_size", True), ("fewshot_size", None), ("macro_f1", 1.5),
-        ("macro_f1", -0.01), ("macro_f1", float("nan")), ("ece", float("nan")),
-        ("ece", 2.0), ("seed", 1.5), ("seed", True), ("seed", "1"),
+        ("macro_f1", -0.01), ("macro_f1", float("nan")), ("macro_f1", "0.5"),
+        ("macro_f1", True), ("ece", float("nan")), ("ece", 2.0), ("ece", "0.1"),
+        ("ece", False), ("seed", 1.5), ("seed", True), ("seed", "1"),
         ("steps_to_threshold", 2.5), ("steps_to_threshold", False), ("lr", -1.0),
         ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")), ("lr", True),
         ("lr", "0.1"), ("failure", ""), ("failure", 3), ("checkpoint_path", ""),

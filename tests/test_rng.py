@@ -81,3 +81,17 @@ def test_numpy_integers_accepted():
     a = Rng(np.uint64(10)).child(np.int64(3)).generator().random(4)
     b = Rng(10).child(3).generator().random(4)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1.5,), "path entry must be an int, got 1.5"),
+    ((True,), "path entry must be an int, got True"),
+    (("a",), "path entry must be an int, got 'a'"),
+    ((-1,), "path entry must fit in 64 bits, got -1"),
+    ((1 << 64,), f"path entry must fit in 64 bits, got {1 << 64}"),
+    ([1], "path must be a tuple, got [1]"),
+])
+def test_bad_path_rejected(bad, message):
+    # Rng(1, (1.5,)) used to fail only at generator(), inside numpy
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Rng(1, bad)

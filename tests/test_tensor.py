@@ -28,7 +28,8 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.tensor import _make
+from pforge.numerics.attention import additive_mask
+from pforge.numerics.tensor import _make, dropout_mask
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,6 +312,78 @@ class TestStructuralOps:
                 dropout(Tensor(np.ones(3)), p, np_rng)
 
 
+def float_dropout_mask(shape, p, dtype, gen):
+    """The float inverted-dropout mask (0 or 1/(1-p) at dtype) drawn the way
+    dropout_mask draws its keep mask: the reference for the boolean mask."""
+    size = math.prod(shape)
+    words = gen.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
+    keep = words >= np.uint32(min(round(p * 2**32), 2**32 - 1))
+    return np.multiply(keep, dtype(1.0 / (1.0 - p)), dtype=dtype).reshape(shape)
+
+
+def float_mask_attention(q, k, v, attn_mask, p, gen):
+    """attention_core's output and backward, applying a float dropout mask."""
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs += additive_mask(attn_mask, k.shape[-2] - q.shape[-2], probs.dtype)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mask = float_dropout_mask(probs.shape, p, probs.dtype.type, gen)
+
+    def bwd(g):
+        gs = (g @ np.swapaxes(v, -1, -2)) * mask
+        gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
+        gs *= probs
+        return gs @ k, np.swapaxes(gs, -1, -2) @ q, np.swapaxes(probs * mask, -1, -2) @ g
+
+    return (probs * mask) @ v, bwd
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bits, so -0.0 differs from 0.0."""
+    utype = {np.float32: np.uint32, np.float64: np.uint64}[a.dtype.type]
+    return a.dtype == b.dtype and np.array_equal(a.view(utype), b.view(utype))
+
+
+class TestBooleanKeepMask:
+    """A one-byte keep mask gives the bits of the float mask it replaced."""
+
+    def test_mask_is_bool_and_keeps_the_float_masks_entries(self):
+        shape, p = (3, 5, 7), 0.3  # an odd size leaves half a raw draw unused
+        keep = dropout_mask(shape, p, np.random.default_rng(1))
+        want = float_dropout_mask(shape, p, np.float32, np.random.default_rng(1))
+        assert keep.dtype == np.bool_ and keep.shape == shape
+        assert np.array_equal(keep, want != 0) and 0 < keep.sum() < keep.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_bits_match_the_float_mask(self, dtype):
+        gen = np.random.default_rng(2)
+        x = gen.normal(size=(6, 40)).astype(dtype)
+        x[0, :10], x[1, :10] = 0.0, -0.0
+        g = gen.normal(size=x.shape).astype(dtype)  # negative entries included
+        out = dropout(parameter(x, dtype=np.dtype(dtype).name), 0.1,
+                      np.random.default_rng(3))
+        mask = float_dropout_mask(x.shape, 0.1, dtype, np.random.default_rng(3))
+        assert same_bits(out.data, x * mask)
+        assert same_bits(out._node.bwd(g)[0], g * mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_core_bits_match_the_float_mask(self, dtype):
+        gen = np.random.default_rng(4)
+        q, k, v = (gen.normal(size=s).astype(dtype)
+                   for s in [(2, 2, 5, 3), (2, 2, 8, 3), (2, 2, 8, 3)])
+        attn_mask = np.ones((2, 5))
+        attn_mask[0, -2:] = 0
+        g = gen.normal(size=(2, 2, 5, 3)).astype(dtype)
+        inputs = [parameter(a, dtype=np.dtype(dtype).name) for a in (q, k, v)]
+        out = attention_core(*inputs, attn_mask, 0.3, np.random.default_rng(5))
+        want, want_bwd = float_mask_attention(q, k, v, attn_mask, 0.3,
+                                              np.random.default_rng(5))
+        assert same_bits(out.data, want)
+        for got, ref in zip(out._node.bwd(g), want_bwd(g)):
+            assert same_bits(got, ref)
+
+
 class TestTape:
     def test_no_grad_skips_tape(self):
         p = parameter(np.ones((2, 2)), dtype="float64")
@@ -407,6 +480,15 @@ class TestLifetime:
         sum_all(out).backward()
         assert probs() is None
         assert q.grad is not None and k.grad is not None and v.grad is not None
+
+    def test_keep_masks_saved_at_one_byte_per_entry(self):
+        gen = np.random.default_rng(3)
+        q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3))) for _ in range(3))
+        out = attention_core(q, k, v, np.ones((1, 4)), 0.1, gen)
+        keep, probs = self._saved(out, "keep"), self._saved(out, "probs")
+        assert keep.dtype == np.bool_ and keep.nbytes == probs.size
+        keep = self._saved(dropout(q, 0.1, gen), "keep")
+        assert keep.dtype == np.bool_ and keep.nbytes == q.size
 
     def test_frozen_weight_matmul_input_dies_when_caller_drops_it(self):
         gen = np.random.default_rng(4)
