@@ -47,10 +47,14 @@ def _horner(x: np.ndarray, coef: tuple, monic: bool, out: np.ndarray) -> np.ndar
     return out
 
 
+# A signaling NaN raises the invalid flag in the float64 copy (float32 input)
+# or in the first product (float64); scipy returns NaN silently, and so does erf.
+@np.errstate(invalid="ignore")
 def erf(x: np.ndarray) -> np.ndarray:
     """Elementwise erf of a float32 or float64 array, at the input's dtype.
 
-    NaN maps to NaN and -0.0 to -0.0.
+    NaN, signaling NaN included, maps to NaN without a warning; -0.0 maps
+    to -0.0.
     """
     x = np.asarray(x)
     out = np.empty(x.shape, dtype=x.dtype)

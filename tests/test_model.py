@@ -25,6 +25,7 @@ from pforge.model import (
     roberta_base_shape,
 )
 from pforge.numerics import AdamW, Rng, Tensor, cross_entropy, dropout, grad_check, sum_all
+from pforge.numerics.attention import _blocks
 
 TINY = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,
                    vocab_size=50, max_positions=32, prefix_length=4)
@@ -44,7 +45,8 @@ def rand_layer(d: int, gen: np.random.Generator, dtype: str = "float64") -> Laye
 
 
 def attention_oracle(x, lw: LayerWeights, num_heads, p_k, p_v, attn_mask):
-    """Scalar-loop multi-head attention with prefix rows, pure numpy."""
+    """Scalar-loop multi-head attention with prefix rows, pure numpy; a
+    padded query gets a zero context row, as in attention_core."""
     b, t, d = x.shape
     dh = d // num_heads
     n = 0 if p_k is None else p_k.shape[0]
@@ -57,7 +59,7 @@ def attention_oracle(x, lw: LayerWeights, num_heads, p_k, p_v, attn_mask):
             sl = slice(h * dh, (h + 1) * dh)
             keys = [p_k[j, sl] for j in range(n)] + [k[bi, j, sl] for j in range(t)]
             vals = [p_v[j, sl] for j in range(n)] + [v[bi, j, sl] for j in range(t)]
-            for i in range(t):
+            for i in np.flatnonzero(attn_mask[bi]):
                 scores = np.array([q[bi, i, sl] @ kj for kj in keys]) / np.sqrt(dh)
                 for j in range(t):
                     if attn_mask[bi, j] == 0:
@@ -323,12 +325,22 @@ class TestEncode:
         cfg = replace(TINY, precision="float64")
         weights = EncoderWeights(cfg, Rng(5))
         prefix = PrefixSet.init_random(cfg, Rng(6)) if with_prefix else None
-        out = encode(self.ids, self.mask, weights, prefix).data
-        for i, row in enumerate(self.mask):
-            n = int(row.sum())
-            alone = encode(self.ids[i:i + 1, :n], row[None, :n], weights, prefix).data[0]
-            np.testing.assert_allclose(out[i, :n], alone, rtol=1e-12, atol=0)
-            assert np.all(out[i, n:] == 0.0)
+        # and 64 sequences of up to the token budget, whose attention spans
+        # more than one block of examples
+        gen = np.random.default_rng(7)
+        lengths = gen.integers(1, cfg.token_budget + 1, size=64)
+        lengths[0] = cfg.token_budget
+        long_mask = (np.arange(cfg.token_budget) < lengths[:, None]).astype(np.int64)
+        keys = 0 if prefix is None else cfg.prefix_length
+        assert len(_blocks(lengths, cfg.num_heads, keys, 8)) > 1
+        long_ids = gen.integers(0, cfg.vocab_size, size=long_mask.shape) * long_mask
+        for ids, mask in ((self.ids, self.mask), (long_ids, long_mask)):
+            out = encode(ids, mask, weights, prefix).data
+            for i, row in enumerate(mask):
+                n = int(row.sum())
+                alone = encode(ids[i:i + 1, :n], row[None, :n], weights, prefix).data[0]
+                np.testing.assert_allclose(out[i, :n], alone, rtol=1e-12, atol=0)
+                assert np.all(out[i, n:] == 0.0)
 
 
 class TestClassify:

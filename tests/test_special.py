@@ -1,5 +1,7 @@
 """pforge's erf against scipy.special.erf, the implementation it ports."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf as scipy_erf
@@ -62,6 +64,19 @@ def test_nan_zero_sign_and_saturation(dtype):
     assert np.isnan(got[0])
     assert np.signbit(got[1]) and got[1] == 0.0 and not np.signbit(got[2])
     assert np.array_equal(got[3:], np.array([1, -1, 1, -1], dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, 0x7FA00000),
+                                         (np.float64, 0x7FF4000000000000)],
+                         ids=["float32", "float64"])
+def test_signaling_nan_gives_nan_without_a_warning(dtype, bits):
+    snan = np.array([bits], dtype=UINT[dtype]).view(dtype)
+    x = np.concatenate([snan, np.array([0.5, -2.0, 0.0], dtype=dtype)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erf(x)
+    assert got.dtype == dtype and np.isnan(got[0])
+    assert np.array_equal(got[1:], scipy_erf(x[1:]))
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, 3, 4)])

@@ -28,7 +28,7 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.attention import additive_mask
+from pforge.numerics.attention import _blocks, additive_mask
 from pforge.numerics.tensor import _make, dropout_mask
 
 
@@ -322,21 +322,40 @@ def float_dropout_mask(shape, p, dtype, gen):
 
 
 def float_mask_attention(q, k, v, attn_mask, p, gen):
-    """attention_core's output and backward, applying a float dropout mask."""
-    probs = q @ np.swapaxes(k, -1, -2)
-    probs += additive_mask(attn_mask, k.shape[-2] - q.shape[-2], probs.dtype)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    mask = float_dropout_mask(probs.shape, p, probs.dtype.type, gen)
+    """attention_core's output and backward, block by block, applying a float
+    dropout mask drawn at the padded shape."""
+    b, h, t, _ = q.shape
+    n = k.shape[-2] - t
+    real = attn_mask != 0
+    mask = float_dropout_mask((b, h, t, n + t), p, q.dtype.type, gen)
+    out = np.zeros_like(q)
+    blocks = []
+    for lo, hi, length in _blocks((real * np.arange(1, t + 1)).max(axis=1), h, n,
+                                  q.dtype.itemsize):
+        m, cols = real[lo:hi, :length], slice(0, n + length)
+        probs = q[lo:hi, :, :length] @ np.swapaxes(k[lo:hi, :, cols], -1, -2)
+        probs += additive_mask(m, n, probs.dtype)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs.transpose(0, 2, 1, 3)[~m] = 0
+        mb = mask[lo:hi, :, :length, cols]
+        out[lo:hi, :, :length] = (probs * mb) @ v[lo:hi, :, cols]
+        blocks.append((lo, hi, length, cols, probs, mb))
 
     def bwd(g):
-        gs = (g @ np.swapaxes(v, -1, -2)) * mask
-        gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
-        gs *= probs
-        return gs @ k, np.swapaxes(gs, -1, -2) @ q, np.swapaxes(probs * mask, -1, -2) @ g
+        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        for lo, hi, length, cols, probs, mb in blocks:
+            gb = g[lo:hi, :, :length]
+            gs = (gb @ np.swapaxes(v[lo:hi, :, cols], -1, -2)) * mb
+            gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
+            gs *= probs
+            gq[lo:hi, :, :length] = gs @ k[lo:hi, :, cols]
+            gk[lo:hi, :, cols] = np.swapaxes(gs, -1, -2) @ q[lo:hi, :, :length]
+            gv[lo:hi, :, cols] = np.swapaxes(probs * mb, -1, -2) @ gb
+        return gq, gk, gv
 
-    return (probs * mask) @ v, bwd
+    return out, bwd
 
 
 def same_bits(a, b):
@@ -448,9 +467,14 @@ class TestLifetime:
 
     @staticmethod
     def _saved(out, name):
-        # the array a node's closure captured under ``name``
+        # the object a node's closure captured under ``name``
         bwd = out._node.bwd
         return bwd.__closure__[bwd.__code__.co_freevars.index(name)].cell_contents
+
+    @staticmethod
+    def _saved_blocks(out):
+        # attention_core keeps (rows, keys, probs, keep) for each block of examples
+        return TestLifetime._saved(out, "saved")
 
     def test_only_leaves_hold_gradients_after_backward(self):
         p = parameter(np.array([0.5, -1.0, 2.0]), dtype="float64")
@@ -476,7 +500,8 @@ class TestLifetime:
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3)), dtype="float64")
                    for _ in range(3))
         out = attention_core(q, k, v, np.ones((1, 4)))
-        probs = weakref.ref(self._saved(out, "probs"))
+        (*_, probs, _), = self._saved_blocks(out)
+        probs = weakref.ref(probs)
         sum_all(out).backward()
         assert probs() is None
         assert q.grad is not None and k.grad is not None and v.grad is not None
@@ -485,7 +510,7 @@ class TestLifetime:
         gen = np.random.default_rng(3)
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3))) for _ in range(3))
         out = attention_core(q, k, v, np.ones((1, 4)), 0.1, gen)
-        keep, probs = self._saved(out, "keep"), self._saved(out, "probs")
+        (*_, probs, keep), = self._saved_blocks(out)
         assert keep.dtype == np.bool_ and keep.nbytes == probs.size
         keep = self._saved(dropout(q, 0.1, gen), "keep")
         assert keep.dtype == np.bool_ and keep.nbytes == q.size
