@@ -265,16 +265,21 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     docs = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            docs.append(clean_echr(
-                obj["title"], obj["facts"], obj.get("violated_articles", []),
-                case_id=obj.get("id", f"case-{lineno}")))
+            doc = clean_echr(obj["title"], obj["facts"], obj.get("violated_articles", []),
+                             case_id=obj.get("id", f"case-{lineno}"))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad case record ({exc})") from exc
+        if doc.id in first_line:
+            raise DataError(f"{path}:{lineno}: case id {doc.id!r} repeats line "
+                            f"{first_line[doc.id]}")
+        first_line[doc.id] = lineno
+        docs.append(doc)
     if not docs:
         raise DataError(f"{path}: no cases found")
     return _write_labeled("echr", out_dir, docs, Counter(d.label for d in docs), [],

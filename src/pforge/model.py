@@ -16,13 +16,12 @@ padded (B, T) batch into an (N, d) hidden state, so the embeddings, layer
 norms, residual adds, FFNs and hidden dropouts skip the padding. Only the
 attention block sees the padded layout: its layer-normed input is scattered
 into a zero (B, T, d) array before the q/k/v projections, and its rows are
-gathered back after w_o. Inside it, ``attention_core`` scores each example's
-queries against only its n prefix keys and its keys up to its last real
-token, in blocks of consecutive examples cut to the block's longest real
-length, so the B×h×T×(n+T) scores are never built for padded tails; padded
-query rows get a zero context and no gradient (see numerics/attention.py
-for the block size). The result is scattered once more, so ``encode``
-returns (B, T, d) with exact zeros at padded positions.
+gathered back after w_o. Inside it, ``attention_core`` runs one example at a
+time, scoring its queries up to its last real token against only its n
+prefix keys and its keys up to that token, so no score is built for a
+padded tail; padded query rows get a zero context and no gradient. The
+result is scattered once more, so ``encode`` returns (B, T, d) with exact
+zeros at padded positions.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.attention import _blocks
 
 
 def _inputs(n, dtype, seed=0, b=2, h=2, t=5, dh=3):
@@ -34,6 +33,27 @@ def _reference(q, k, v, mask, p=0.0, gen=None):
     return matmul(probs, v)
 
 
+def _per_example(q, k, v, mask, p, gen, weight):
+    """Output and q/k/v gradients of _reference composed on each example
+    alone: its 1-example slice cut to its last real token, with gen consumed
+    in batch order, under the loss sum_all(out * weight)."""
+    t = q.shape[2]
+    n = k.shape[2] - t
+    res = [np.zeros(a.shape, dtype=a.dtype) for a in (q, q, k, v)]
+    for i, row in enumerate(np.asarray(mask)):
+        length = int(np.max(np.flatnonzero(row), initial=-1)) + 1
+        if length == 0:
+            continue
+        rows, keys = np.s_[i:i + 1, :, :length], np.s_[i:i + 1, :, :n + length]
+        qi, ki, vi = (parameter(a.data[ix], dtype=a.dtype.name)
+                      for a, ix in ((q, rows), (k, keys), (v, keys)))
+        out = _reference(qi, ki, vi, row[None, :length], p, gen)
+        sum_all(out * weight[rows]).backward()
+        for r, ix, a in zip(res, (rows, rows, keys, keys), (out.data, qi.grad, ki.grad, vi.grad)):
+            r[ix] = a
+    return res
+
+
 def _contract(q, k, v, mask, p=0.0, gen=None):
     """_reference with its padded query rows set to 0, as attention_core gives them."""
     return _reference(q, k, v, mask, p, gen) * np.asarray(mask)[:, None, :, None]
@@ -52,22 +72,18 @@ def test_core_without_dropout_matches_composed_reference(n, dtype, tol):
 @pytest.mark.parametrize("n", [0, 3])
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_core_gradients_match_composed_reference(n, p):
-    gen = np.random.default_rng(4)
-    w = Tensor(gen.normal(size=(2, 2, 5, 3)))
-    grads = []
-    for f in (attention_core, _contract):
-        q, k, v, mask = _inputs(n, "float64")
-        out = f(q, k, v, mask, p, np.random.default_rng(9))
-        sum_all(out * w).backward()
-        grads.append((out.data, q.grad, k.grad, v.grad))
-    for got, want in zip(*grads):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    w = np.random.default_rng(4).normal(size=(2, 2, 5, 3))
+    q, k, v, mask = _inputs(n, "float64")
+    out = attention_core(q, k, v, mask, p, np.random.default_rng(9))
+    sum_all(out * w).backward()
+    want = _per_example(q, k, v, mask, p, np.random.default_rng(9), w)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 def _mask(case):
     if case == "several blocks":
-        # 1,200 short examples, some with interior holes: several blocks
-        # of _BLOCK_BYTES at both dtypes, with rows as short as the others
+        # 1,200 short examples, some with interior holes
         gen = np.random.default_rng(2)
         mask = (np.arange(8) < gen.integers(1, 9, size=1200)[:, None]).astype(float)
         mask[gen.integers(0, 1200, size=100), gen.integers(1, 7, size=100)] = 0
@@ -91,20 +107,21 @@ def test_real_rows_match_reference_and_padded_rows_are_zero(case, n, p, dtype, t
     mask = _mask(case)
     b, t = mask.shape
     real = mask.astype(bool)
-    if case == "several blocks":
-        lengths = real.shape[1] - np.argmax(real[:, ::-1], axis=1)
-        assert len(_blocks(lengths, 2, n, np.dtype(dtype).itemsize)) > 1
     w = np.random.default_rng(4).normal(size=(b, 2, t, 3))
-    got, want = [], []
+    q, k, v, _ = _inputs(n, dtype, b=b, t=t)
+    out = attention_core(q, k, v, mask, p, np.random.default_rng(9))
+    sum_all(out * w).backward()
+    out, gq, gk, gv = out.data, q.grad, k.grad, v.grad
     # the reference's loss skips padded query rows, so its gradients hold
     # only what the real rows pass back; the core's loss weights every row
-    for f, weight, res in ((attention_core, w, got),
-                           (_reference, w * mask[:, None, :, None], want)):
+    weight = w * mask[:, None, :, None]
+    if p == 0.0:  # no keep mask to draw: the padded batch is a reference too
         q, k, v, _ = _inputs(n, dtype, b=b, t=t)
-        out = f(q, k, v, mask, p, np.random.default_rng(9))
-        sum_all(out * weight).backward()
-        res.extend([out.data, q.grad, k.grad, v.grad])
-    out, gq, gk, gv = got
+        ref = _reference(q, k, v, mask)
+        sum_all(ref * weight).backward()
+        want = [ref.data, q.grad, k.grad, v.grad]
+    else:
+        want = _per_example(q, k, v, mask, p, np.random.default_rng(9), weight)
     assert out.dtype == np.dtype(dtype)
     np.testing.assert_allclose(out.transpose(0, 2, 1, 3)[real],
                                want[0].transpose(0, 2, 1, 3)[real], rtol=tol, atol=tol)
@@ -112,6 +129,38 @@ def test_real_rows_match_reference_and_padded_rows_are_zero(case, n, p, dtype, t
     assert np.all(gq.transpose(0, 2, 1, 3)[~real] == 0)
     for g, ref in zip((gq, gk, gv), want[1:]):
         np.testing.assert_allclose(g, ref, rtol=grad_tol, atol=grad_tol)
+
+
+@pytest.mark.parametrize("n", [0, 8])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_each_example_gets_the_bits_it_gets_alone(n, dtype):
+    # a fewshot-shaped batch: lengths 1..41, two of them with interior holes
+    b, t = 16, 41
+    gen = np.random.default_rng(11)
+    mask = (np.arange(t) < gen.integers(1, t + 1, size=b)[:, None]).astype(float)
+    mask[0], mask[1, :30], mask[2, :9] = 1, 1, 1
+    mask[1, 20:23] = mask[2, 4] = 0
+    w = gen.normal(size=(b, 4, t, 16))
+    q, k, v, _ = _inputs(n, dtype, seed=12, b=b, h=4, t=t, dh=16)
+    out = attention_core(q, k, v, mask)
+    sum_all(out * w).backward()
+    for i in range(b):
+        qi, ki, vi = (parameter(a.data[i:i + 1], dtype=dtype) for a in (q, k, v))
+        alone = attention_core(qi, ki, vi, mask[i:i + 1])
+        sum_all(alone * w[i:i + 1]).backward()
+        for got, want in ((out.data, alone.data), (q.grad, qi.grad), (k.grad, ki.grad),
+                          (v.grad, vi.grad)):
+            assert got.dtype == want.dtype and got[i].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_example_without_real_token_gets_zero_context_and_gradients(n):
+    q, k, v, mask = _inputs(n, "float64", b=3)
+    mask[1] = 0
+    out = attention_core(q, k, v, mask, 0.3, np.random.default_rng(1))
+    sum_all(out * out).backward()
+    for a in (out.data, q.grad, k.grad, v.grad):
+        assert np.all(a[1] == 0.0) and np.any(a[0] != 0.0) and np.any(a[2] != 0.0)
 
 
 def test_padded_keys_get_no_weight_and_no_gradient():
@@ -147,3 +196,10 @@ def test_dropout_without_generator_rejected():
     q, k, v, mask = _inputs(3, "float64")
     with pytest.raises(ValueError, match="gen=None"):
         attention_core(q, k, v, mask, 0.5, None)
+
+
+@pytest.mark.parametrize("p", [1.0, np.inf, 1.5, -0.5, np.nan])
+def test_dropout_p_outside_unit_interval_rejected(p):
+    q, k, v, mask = _inputs(3, "float64")
+    with pytest.raises(ValueError, match="dropout_p"):
+        attention_core(q, k, v, mask, p, np.random.default_rng(1))

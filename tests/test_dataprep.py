@@ -146,6 +146,15 @@ class TestCleanEchr:
             build_echr(path, tmp_path / "echr")
 
 
+    def test_build_echr_refuses_a_repeated_case_id(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        good = {"title": "T", "facts": ["1. a fact"], "violated_articles": []}
+        path.write_text("".join(json.dumps({**good, "id": case}) + "\n"
+                                for case in ("A", "B", "A")), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: case id 'A' repeats line 1")):
+            build_echr(path, tmp_path / "echr")
+
+
 def reddit_dump(n: int = 200) -> list[RawPost]:
     """Synthetic dump: 13 flairs with distinct frequencies, some unflaired."""
     gen = np.random.default_rng(77)

@@ -25,7 +25,6 @@ from pforge.model import (
     roberta_base_shape,
 )
 from pforge.numerics import AdamW, Rng, Tensor, cross_entropy, dropout, grad_check, sum_all
-from pforge.numerics.attention import _blocks
 
 TINY = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,
                    vocab_size=50, max_positions=32, prefix_length=4)
@@ -325,14 +324,11 @@ class TestEncode:
         cfg = replace(TINY, precision="float64")
         weights = EncoderWeights(cfg, Rng(5))
         prefix = PrefixSet.init_random(cfg, Rng(6)) if with_prefix else None
-        # and 64 sequences of up to the token budget, whose attention spans
-        # more than one block of examples
+        # and 64 sequences of up to the token budget
         gen = np.random.default_rng(7)
         lengths = gen.integers(1, cfg.token_budget + 1, size=64)
         lengths[0] = cfg.token_budget
         long_mask = (np.arange(cfg.token_budget) < lengths[:, None]).astype(np.int64)
-        keys = 0 if prefix is None else cfg.prefix_length
-        assert len(_blocks(lengths, cfg.num_heads, keys, 8)) > 1
         long_ids = gen.integers(0, cfg.vocab_size, size=long_mask.shape) * long_mask
         for ids, mask in ((self.ids, self.mask), (long_ids, long_mask)):
             out = encode(ids, mask, weights, prefix).data

@@ -28,7 +28,7 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.attention import _blocks, additive_mask
+from pforge.numerics.attention import additive_mask
 from pforge.numerics.tensor import _make, dropout_mask
 
 
@@ -322,37 +322,36 @@ def float_dropout_mask(shape, p, dtype, gen):
 
 
 def float_mask_attention(q, k, v, attn_mask, p, gen):
-    """attention_core's output and backward, block by block, applying a float
-    dropout mask drawn at the padded shape."""
-    b, h, t, _ = q.shape
+    """attention_core's output and backward, example by example, each cut to
+    its last real token and applying a float dropout mask drawn at that cut,
+    examples in batch order."""
+    t = q.shape[2]
     n = k.shape[-2] - t
     real = attn_mask != 0
-    mask = float_dropout_mask((b, h, t, n + t), p, q.dtype.type, gen)
     out = np.zeros_like(q)
-    blocks = []
-    for lo, hi, length in _blocks((real * np.arange(1, t + 1)).max(axis=1), h, n,
-                                  q.dtype.itemsize):
-        m, cols = real[lo:hi, :length], slice(0, n + length)
-        probs = q[lo:hi, :, :length] @ np.swapaxes(k[lo:hi, :, cols], -1, -2)
-        probs += additive_mask(m, n, probs.dtype)
+    parts = []
+    for i, length in enumerate((real * np.arange(1, t + 1)).max(axis=1)):
+        m, cols = real[i, :length], slice(0, n + length)
+        probs = q[i, :, :length] @ np.swapaxes(k[i, :, cols], -1, -2)
+        probs += additive_mask(m[None], n, probs.dtype)[0]
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        probs.transpose(0, 2, 1, 3)[~m] = 0
-        mb = mask[lo:hi, :, :length, cols]
-        out[lo:hi, :, :length] = (probs * mb) @ v[lo:hi, :, cols]
-        blocks.append((lo, hi, length, cols, probs, mb))
+        probs[:, ~m] = 0
+        mask = float_dropout_mask(probs.shape, p, q.dtype.type, gen)
+        out[i, :, :length] = (probs * mask) @ v[i, :, cols]
+        parts.append((i, length, cols, probs, mask))
 
     def bwd(g):
         gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-        for lo, hi, length, cols, probs, mb in blocks:
-            gb = g[lo:hi, :, :length]
-            gs = (gb @ np.swapaxes(v[lo:hi, :, cols], -1, -2)) * mb
+        for i, length, cols, probs, mask in parts:
+            gi = g[i, :, :length]
+            gs = (gi @ np.swapaxes(v[i, :, cols], -1, -2)) * mask
             gs -= np.einsum("...j,...j->...", gs, probs)[..., None]
             gs *= probs
-            gq[lo:hi, :, :length] = gs @ k[lo:hi, :, cols]
-            gk[lo:hi, :, cols] = np.swapaxes(gs, -1, -2) @ q[lo:hi, :, :length]
-            gv[lo:hi, :, cols] = np.swapaxes(probs * mb, -1, -2) @ gb
+            gq[i, :, :length] = gs @ k[i, :, cols]
+            gk[i, :, cols] = np.swapaxes(gs, -1, -2) @ q[i, :, :length]
+            gv[i, :, cols] = np.swapaxes(probs * mask, -1, -2) @ gi
         return gq, gk, gv
 
     return out, bwd
@@ -472,8 +471,8 @@ class TestLifetime:
         return bwd.__closure__[bwd.__code__.co_freevars.index(name)].cell_contents
 
     @staticmethod
-    def _saved_blocks(out):
-        # attention_core keeps (rows, keys, probs, keep) for each block of examples
+    def _saved_examples(out):
+        # attention_core keeps (rows, keys, probs, keep) for each example
         return TestLifetime._saved(out, "saved")
 
     def test_only_leaves_hold_gradients_after_backward(self):
@@ -500,7 +499,7 @@ class TestLifetime:
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3)), dtype="float64")
                    for _ in range(3))
         out = attention_core(q, k, v, np.ones((1, 4)))
-        (*_, probs, _), = self._saved_blocks(out)
+        (*_, probs, _), = self._saved_examples(out)
         probs = weakref.ref(probs)
         sum_all(out).backward()
         assert probs() is None
@@ -510,7 +509,7 @@ class TestLifetime:
         gen = np.random.default_rng(3)
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3))) for _ in range(3))
         out = attention_core(q, k, v, np.ones((1, 4)), 0.1, gen)
-        (*_, probs, keep), = self._saved_blocks(out)
+        (*_, probs, keep), = self._saved_examples(out)
         assert keep.dtype == np.bool_ and keep.nbytes == probs.size
         keep = self._saved(dropout(q, 0.1, gen), "keep")
         assert keep.dtype == np.bool_ and keep.nbytes == q.size
