@@ -85,7 +85,10 @@ class DatasetManifest:
         return self.root / "unlabeled.jsonl"
 
     def labels(self) -> list[str]:
-        lines = self.labels_path.read_text(encoding="utf-8").splitlines()
+        try:
+            lines = self.labels_path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {self.labels_path}: {exc}") from exc
         return [line for line in lines if line]
 
     def label_map(self) -> dict[str, int]:

@@ -210,7 +210,11 @@ def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from exc
+        reader = csv.DictReader(lines)
         missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")

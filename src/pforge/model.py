@@ -11,14 +11,16 @@ Blocks are pre-norm residual with GELU FFNs; classification pools the
 leading [CLS] position; the MLM head ties its output projection to the
 token embedding.
 
-``encode`` runs on the real tokens only. It packs the N real positions of a
-padded (B, T) batch into an (N, d) hidden state, so the embeddings, layer
-norms, residual adds, FFNs and hidden dropouts skip the padding. Only the
-attention block sees the padded layout: its layer-normed input is scattered
-into a zero (B, T, d) array before the q/k/v projections, and its rows are
-gathered back after w_o. Inside it, ``attention_core`` runs one example at a
-time, scoring its queries up to its last real token against only its n
-prefix keys and its keys up to that token, so no score is built for a
+Batches are right-padded: each row of a (B, T) batch holds its example's
+real tokens first, then padding. ``encode`` checks this on its mask and
+passes the per-example lengths on; nothing below it takes a mask. It runs on
+the real tokens only, packing the N real positions into an (N, d) hidden
+state, so the embeddings, layer norms, residual adds, FFNs and hidden
+dropouts skip the padding. Only the attention block sees the padded layout:
+its layer-normed input is scattered into a zero (B, T, d) array before the
+q/k/v projections, and its rows are gathered back after w_o. Inside it,
+``attention_core`` runs one example at a time, scoring its real queries
+against only its n prefix keys and its real keys, so no score is built for a
 padded tail; padded query rows get a zero context and no gradient. The
 result is scattered once more, so ``encode`` returns (B, T, d) with exact
 zeros at padded positions.
@@ -35,6 +37,7 @@ from numbers import Real
 import numpy as np
 
 from .numerics import (
+    NEG_INF,
     Rng,
     STREAM_DROPOUT,
     STREAM_INIT,
@@ -55,7 +58,7 @@ from .numerics import (
     split_heads,
     transpose,
 )
-from .numerics.attention import additive_mask, attention_core
+from .numerics.attention import attention_core
 from .numerics.packing import gather_rows, scatter_rows
 
 METHOD_FT = "ft"
@@ -337,13 +340,13 @@ def attention_with_prefix(
     layer: LayerWeights,
     num_heads: int,
     prefix_kv: tuple[Tensor, Tensor] | None,
-    attn_mask: np.ndarray,
+    lengths: np.ndarray,
     dropout_p: float = 0.0,
     gen: np.random.Generator | None = None,
 ) -> Tensor:
     """Multi-head attention where prefix rows extend the key/value streams.
 
-    x: (B, T, d); attn_mask: (B, T) with 1 on real tokens, 0 on padding.
+    x: (B, T, d), right-padded; lengths: (B,) real-token counts.
     The prefix pair, when present, is (n, d) each; its rows are attendable
     by every query, so the softmax runs over n + T keys while the output
     stays (B, T, d).
@@ -368,24 +371,24 @@ def attention_with_prefix(
             k = concat_seq(pk, k)
             v = concat_seq(pv, v)
 
-    ctx = attention_core(scale(q, 1.0 / np.sqrt(dh)), k, v, attn_mask, dropout_p, gen)
+    ctx = attention_core(scale(q, 1.0 / np.sqrt(dh)), k, v, lengths, dropout_p, gen)
     return add_bias(matmul(merge_heads(ctx), layer.w_o), layer.b_o)
 
 
-def prefix_attention_probs(scores: Tensor, attn_mask: np.ndarray) -> Tensor:
-    """Softmax over n prefix keys followed by T real keys.
+def prefix_attention_probs(scores: Tensor, lengths: np.ndarray) -> Tensor:
+    """Softmax of (B, h, T, n+T) scores over n prefix keys followed by T real keys.
 
-    The composed-op reference for the softmax inside ``attention_core``,
-    with the same mask from ``additive_mask``: prefix columns stay open for
-    every query and padded real positions get zero weight. n is the key
-    count beyond the T columns of attn_mask.
+    The composed-op reference for the softmax inside ``attention_core``:
+    prefix columns stay open for every query, and the keys past example i's
+    lengths[i] real ones get a NEG_INF offset, so their weight underflows to
+    exactly zero.
     """
-    t = np.shape(attn_mask)[-1]
+    t = scores.shape[-2]
     n = scores.shape[-1] - t
     if n < 0:
         raise ValueError(f"scores cover {scores.shape[-1]} keys, fewer than the {t} real")
-    mask_add = additive_mask(attn_mask, n, scores.dtype)
-    return softmax_rows(scores + const(mask_add, scores.dtype))
+    padded = np.arange(n + t) >= n + np.asarray(lengths)[:, None]
+    return softmax_rows(scores + const(padded[:, None, None, :] * NEG_INF, scores.dtype))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -402,9 +405,10 @@ def encode(
 ) -> Tensor:
     """Run the encoder on (B, T) ids; returns hidden states of shape (B, T, d_model).
 
-    attn_mask is 1 on real tokens and 0 on padding, and every sequence needs
-    at least one real token. Only the real tokens are computed (see the
-    module docstring); padded positions of the result are exactly 0.
+    attn_mask is 1 on real tokens and 0 on padding. Every row must be
+    right-padded (its real tokens first) and hold at least one real token.
+    Only the real tokens are computed (see the module docstring); padded
+    positions of the result are exactly 0.
 
     Eval mode (train=False) is deterministic: dropout is off. In train mode
     a dropout generator is derived from rng and consumed in a fixed order;
@@ -434,6 +438,10 @@ def encode(
     empty = np.flatnonzero(~attn_mask.any(axis=1))
     if empty.size:
         raise ValueError(f"attn_mask row {empty[0]} has no real token")
+    unpadded = np.flatnonzero((attn_mask[:, 1:] > attn_mask[:, :-1]).any(axis=1))
+    if unpadded.size:
+        raise ValueError(f"attn_mask row {unpadded[0]} is not right-padded")
+    lengths = np.count_nonzero(attn_mask, axis=1)
     # attention_with_prefix checks the prefix width
     if prefix is not None:
         if prefix.num_layers != cfg.num_layers:
@@ -458,7 +466,7 @@ def encode(
         kv = None if prefix is None else (prefix.p_k[i], prefix.p_v[i])
         h = attention_with_prefix(
             scatter_rows(layer_norm(x, layer.ln1_g, layer.ln1_b), rows, (b, t)), layer,
-            cfg.num_heads, kv, attn_mask, dropout_p=p, gen=gen)
+            cfg.num_heads, kv, lengths, dropout_p=p, gen=gen)
         h = gather_rows(h, rows)
         if gen is not None:
             h = dropout(h, p, gen)

@@ -1,46 +1,31 @@
 """The attention core as one tape op with a hand-written backward.
 
-``attention_core`` computes dropout(softmax(q kᵀ + mask)) v for queries over
-n prefix keys followed by T real keys, one example at a time. Example i's
-real tokens end at L_i, its last real position + 1, and its part is cut to
-L_i queries and n + L_i keys: no score, softmax, dropout or product entry is
-spent on its padded tail, and its row sums run over n + L_i entries, so an
-example gets the same bits in any batch. Only an example with an interior
-hole gets the additive padding mask and all-zero probability rows for its
-padded queries, whose context rows are then 0 and pass no gradient.
+``attention_core`` computes dropout(softmax(q kᵀ)) v for queries over n
+prefix keys followed by T real keys, one example at a time. Batches are
+right-padded: example i's real tokens are its first L_i positions, and its
+part is cut to L_i queries and n + L_i keys. No score, softmax, dropout or
+product entry is spent on its padded tail, whose context rows are 0 and pass
+no gradient, and its row sums run over n + L_i entries, so an example gets
+the same bits in any batch.
 
-Within a part, the score product, the mask, the exact row softmax and
-inverted dropout run in place on one (h, L_i, n + L_i) buffer, and the
-backward keeps only those probabilities and the one-byte dropout keep mask.
-Composed from matmul, mask add, ``softmax_rows`` and ``dropout`` on the
-tape, each step would hold a buffer of that size per op and allocate a
-gradient for each. Each keep mask is drawn from gen at its part's shape,
-examples in batch order. The parts' products come from ``@`` and are copied
-into a zero array after it: written into arrays allocated up front instead,
-four fewshot-shaped layers (forwards, then backwards) page-faulted 4–5
-times as often, since ``@``'s results reuse freed heap memory. The caller
-scales q by 1/√dₕ, which touches T×dₕ entries per head instead of T×(n+T).
+Within a part, the score product, the exact row softmax and inverted dropout
+run in place on one (h, L_i, n + L_i) buffer, and the backward keeps only
+those probabilities and the one-byte dropout keep mask. Composed from
+matmul, ``softmax_rows`` and ``dropout`` on the tape, each step would hold a
+buffer of that size per op and allocate a gradient for each. Each keep mask
+is drawn from gen at its part's shape, examples in batch order. The parts'
+products come from ``@`` and are copied into a zero array after it: written
+into arrays allocated up front instead, four fewshot-shaped layers
+(forwards, then backwards) page-faulted 4–5 times as often, since ``@``'s
+results reuse freed heap memory. The caller scales q by 1/√dₕ, which touches
+T×dₕ entries per head instead of T×(n+T).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NEG_INF, Tensor, _apply_keep, _make, dropout_mask
-
-
-def additive_mask(attn_mask: np.ndarray, n: int, dtype) -> np.ndarray:
-    """(B, 1, 1, n+T) scores offset: 0 on the n prefix keys and real tokens.
-
-    attn_mask is (B, T) with 1 on real tokens and 0 on padding; padded keys
-    get NEG_INF, so their softmax weight underflows to exactly zero. Prefix
-    keys stay open for every query.
-    """
-    attn_mask = np.asarray(attn_mask)
-    b, t = attn_mask.shape
-    out = np.zeros((b, 1, 1, n + t), dtype=dtype)
-    out[..., n:] = (1.0 - attn_mask[:, None, None, :]) * NEG_INF
-    return out
+from .tensor import Tensor, _apply_keep, _make, dropout_mask
 
 
 def _join(parts: list, shape: tuple, dtype) -> np.ndarray:
@@ -52,32 +37,36 @@ def _join(parts: list, shape: tuple, dtype) -> np.ndarray:
     return out
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
+def attention_core(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray,
                    dropout_p: float = 0.0,
                    gen: np.random.Generator | None = None) -> Tensor:
     """Attention context (B, h, T, dₕ) over n prefix keys and T real keys.
 
     q: (B, h, T, dₕ), already scaled; k, v: (B, h, n+T, dₕ), prefix rows
-    first, so n is the key count beyond T; attn_mask: (B, T), 1 on real
-    tokens. Each example is computed alone, cut to its last real token, so
-    its context and gradients are those of the core on that example alone.
-    Its queries attend over its n prefix keys and its real keys only. A
-    padded query row (attn_mask 0) gets a context row of exactly 0 and no
-    gradient, and a padded key gets zero weight and no gradient. Dropout on
-    the probabilities runs when dropout_p > 0, which must be below 1, and
-    then needs gen: example i's keep mask is drawn at its (h, L_i, n + L_i)
-    cut, examples in batch order. The mask is a constant and gets no
-    gradient.
+    first, so n is the key count beyond T; lengths: (B,) integers in [1, T],
+    example i's real tokens being its first lengths[i] positions. Each
+    example is computed alone, cut to its length, so its context and
+    gradients are those of the core on that example alone. Its queries
+    attend over its n prefix keys and its real keys only. A padded query row
+    gets a context row of exactly 0 and no gradient, and a padded key gets
+    zero weight and no gradient. Dropout on the probabilities runs when
+    dropout_p > 0, which must be below 1, and then needs gen: example i's
+    keep mask is drawn at its (h, L_i, n + L_i) cut, examples in batch
+    order. The mask is a constant and gets no gradient.
     """
-    attn_mask = np.asarray(attn_mask)
+    lengths = np.asarray(lengths)
     if q.data.ndim != 4 or k.shape != v.shape or k.shape[:2] != q.shape[:2] \
             or k.shape[-1] != q.shape[-1]:
         raise ValueError(
             f"attention_core shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}"
         )
     b, _, t, _ = q.shape
-    if attn_mask.shape != (b, t):
-        raise ValueError(f"attn_mask shape {attn_mask.shape} does not cover ({b}, {t})")
+    if lengths.shape != (b,) or lengths.dtype.kind not in "iu":
+        raise ValueError(f"lengths must be ({b},) integers, got {lengths.dtype} "
+                         f"{lengths.shape}")
+    bad = np.flatnonzero((lengths < 1) | (lengths > t))
+    if bad.size:
+        raise ValueError(f"lengths[{bad[0]}] is {lengths[bad[0]]}, outside [1, {t}]")
     n = k.shape[-2] - t
     if n < 0:
         raise ValueError(f"keys cover {k.shape[-2]} rows, fewer than the {t} queries")
@@ -90,25 +79,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray,
         raise ValueError(f"attention_core with dropout_p {dropout_p} needs a generator "
                          "for its dropout mask, got gen=None")
 
-    real = attn_mask != 0
     s = q.dtype.type(1.0 / (1.0 - dropout_p)) if dropout_p > 0.0 else None
     ctx, saved = [], []
-    for i, length in enumerate((real * np.arange(1, t + 1)).max(axis=1, initial=0).tolist()):
-        if length == 0:  # no real token: the rows stay 0
-            continue
+    for i, length in enumerate(lengths.tolist()):
         rows, keys = np.s_[i, :, :length], np.s_[i, :, :n + length]
-        m = real[i, :length]
         probs = q.data[rows] @ np.swapaxes(k.data[keys], -1, -2)
-        hole = not m.all()
-        if hole:
-            probs += additive_mask(m[None], n, probs.dtype)[0]
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        if hole:
-            # padded queries: a zero row gives a zero context and, in the
-            # backward, a zero score gradient and no share of k's or v's
-            probs[:, ~m] = 0
         keep = None if s is None else dropout_mask(probs.shape, dropout_p, gen)
         ctx.append((rows, (probs if keep is None else _apply_keep(probs, keep, s))
                     @ v.data[keys]))

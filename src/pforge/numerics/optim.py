@@ -7,6 +7,7 @@ BETAS = (0.9, 0.999), EPS = 1e-8 and WEIGHT_DECAY = 0.01.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,8 +22,9 @@ class AdamW:
     """Optimizer over a named parameter dict; state keyed by name."""
 
     def __init__(self, params: dict[str, Tensor], lr: float):
-        if not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"learning rate must be finite and positive, got {lr}")
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) \
+                or not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate lr must be a finite positive number, got {lr!r}")
         self.params = dict(params)
         self.lr = lr
         self.t = 0

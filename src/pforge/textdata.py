@@ -148,7 +148,9 @@ def encode_document(doc: Document, vocab: Vocab, config: ModelConfig,
 
 def collate(examples: Sequence[EncodedExample]
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad to the longest sequence; labels use the ignore marker when absent."""
+    """Right-pad to the longest sequence, the only layout ``encode`` accepts:
+    each row's real tokens come first. Labels use the ignore marker when
+    absent."""
     if not examples:
         raise ValueError("cannot collate an empty batch")
     width = max(len(e.ids) for e in examples)
@@ -226,7 +228,7 @@ def load_jsonl(path: str | Path) -> list[Document]:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     docs: list[Document] = []

@@ -20,51 +20,54 @@ def _inputs(n, dtype, seed=0, b=2, h=2, t=5, dh=3):
     q = parameter(gen.normal(size=(b, h, t, dh)), dtype=dtype)
     k = parameter(gen.normal(size=(b, h, n + t, dh)), dtype=dtype)
     v = parameter(gen.normal(size=(b, h, n + t, dh)), dtype=dtype)
-    mask = np.ones((b, t))
-    mask[0, -2:] = 0
-    return q, k, v, mask
+    lengths = np.full(b, t)
+    lengths[0] = t - 2
+    return q, k, v, lengths
 
 
-def _reference(q, k, v, mask, p=0.0, gen=None):
+def _reference(q, k, v, lengths, p=0.0, gen=None):
     """The composed ops over the padded batch, padded query rows included."""
-    probs = prefix_attention_probs(matmul(q, transpose(k, (0, 1, 3, 2))), mask)
+    probs = prefix_attention_probs(matmul(q, transpose(k, (0, 1, 3, 2))), lengths)
     if p > 0.0:
         probs = dropout(probs, p, gen)
     return matmul(probs, v)
 
 
-def _per_example(q, k, v, mask, p, gen, weight):
+def _per_example(q, k, v, lengths, p, gen, weight):
     """Output and q/k/v gradients of _reference composed on each example
-    alone: its 1-example slice cut to its last real token, with gen consumed
-    in batch order, under the loss sum_all(out * weight)."""
+    alone: its 1-example slice cut to its length, with gen consumed in batch
+    order, under the loss sum_all(out * weight)."""
     t = q.shape[2]
     n = k.shape[2] - t
     res = [np.zeros(a.shape, dtype=a.dtype) for a in (q, q, k, v)]
-    for i, row in enumerate(np.asarray(mask)):
-        length = int(np.max(np.flatnonzero(row), initial=-1)) + 1
-        if length == 0:
-            continue
+    for i, length in enumerate(lengths.tolist()):
         rows, keys = np.s_[i:i + 1, :, :length], np.s_[i:i + 1, :, :n + length]
         qi, ki, vi = (parameter(a.data[ix], dtype=a.dtype.name)
                       for a, ix in ((q, rows), (k, keys), (v, keys)))
-        out = _reference(qi, ki, vi, row[None, :length], p, gen)
+        out = _reference(qi, ki, vi, np.array([length]), p, gen)
         sum_all(out * weight[rows]).backward()
         for r, ix, a in zip(res, (rows, rows, keys, keys), (out.data, qi.grad, ki.grad, vi.grad)):
             r[ix] = a
     return res
 
 
-def _contract(q, k, v, mask, p=0.0, gen=None):
+def _real(lengths, t):
+    """(B, T) True on each example's first lengths[i] positions."""
+    return np.arange(t) < lengths[:, None]
+
+
+def _contract(q, k, v, lengths, p=0.0, gen=None):
     """_reference with its padded query rows set to 0, as attention_core gives them."""
-    return _reference(q, k, v, mask, p, gen) * np.asarray(mask)[:, None, :, None]
+    real = _real(lengths, q.shape[2])
+    return _reference(q, k, v, lengths, p, gen) * real[:, None, :, None]
 
 
 @pytest.mark.parametrize("n", [0, 3])
 @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
 def test_core_without_dropout_matches_composed_reference(n, dtype, tol):
-    q, k, v, mask = _inputs(n, dtype)
-    got = attention_core(q, k, v, mask)
-    want = _contract(q, k, v, mask)
+    q, k, v, lengths = _inputs(n, dtype)
+    got = attention_core(q, k, v, lengths)
+    want = _contract(q, k, v, lengths)
     assert got.dtype == want.dtype == np.dtype(dtype)
     np.testing.assert_allclose(got.data, want.data, rtol=tol, atol=tol)
 
@@ -73,26 +76,24 @@ def test_core_without_dropout_matches_composed_reference(n, dtype, tol):
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_core_gradients_match_composed_reference(n, p):
     w = np.random.default_rng(4).normal(size=(2, 2, 5, 3))
-    q, k, v, mask = _inputs(n, "float64")
-    out = attention_core(q, k, v, mask, p, np.random.default_rng(9))
+    q, k, v, lengths = _inputs(n, "float64")
+    out = attention_core(q, k, v, lengths, p, np.random.default_rng(9))
     sum_all(out * w).backward()
-    want = _per_example(q, k, v, mask, p, np.random.default_rng(9), w)
+    want = _per_example(q, k, v, lengths, p, np.random.default_rng(9), w)
     for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
-def _mask(case):
+def _lengths(case):
+    """(lengths, T) of a right-padded batch."""
     if case == "several blocks":
-        # 1,200 short examples, some with interior holes
-        gen = np.random.default_rng(2)
-        mask = (np.arange(8) < gen.integers(1, 9, size=1200)[:, None]).astype(float)
-        mask[gen.integers(0, 1200, size=100), gen.integers(1, 7, size=100)] = 0
-        return mask
+        # 1,200 short examples
+        return np.random.default_rng(2).integers(1, 9, size=1200), 8
     return np.array({
-        "right-padded": [[1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 0]],
-        "interior hole": [[1, 0, 1, 1, 0, 0], [1, 1, 1, 0, 1, 1], [1, 1, 0, 0, 0, 0]],
-        "one token": [[1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [0, 0, 1, 0, 0, 0]],
-    }[case], dtype=float)
+        "right-padded": [6, 3, 5],
+        "interior hole": [3, 5, 2],
+        "one token": [1, 6, 1],
+    }[case]), 6
 
 
 @pytest.mark.parametrize("case", ["right-padded", "interior hole", "one token",
@@ -104,24 +105,24 @@ def _mask(case):
 @pytest.mark.parametrize("dtype, tol, grad_tol", [("float64", 1e-12, 1e-12),
                                                   ("float32", 1e-6, 4e-6)])
 def test_real_rows_match_reference_and_padded_rows_are_zero(case, n, p, dtype, tol, grad_tol):
-    mask = _mask(case)
-    b, t = mask.shape
-    real = mask.astype(bool)
+    lengths, t = _lengths(case)
+    b = lengths.size
+    real = _real(lengths, t)
     w = np.random.default_rng(4).normal(size=(b, 2, t, 3))
     q, k, v, _ = _inputs(n, dtype, b=b, t=t)
-    out = attention_core(q, k, v, mask, p, np.random.default_rng(9))
+    out = attention_core(q, k, v, lengths, p, np.random.default_rng(9))
     sum_all(out * w).backward()
     out, gq, gk, gv = out.data, q.grad, k.grad, v.grad
     # the reference's loss skips padded query rows, so its gradients hold
     # only what the real rows pass back; the core's loss weights every row
-    weight = w * mask[:, None, :, None]
+    weight = w * real[:, None, :, None]
     if p == 0.0:  # no keep mask to draw: the padded batch is a reference too
         q, k, v, _ = _inputs(n, dtype, b=b, t=t)
-        ref = _reference(q, k, v, mask)
+        ref = _reference(q, k, v, lengths)
         sum_all(ref * weight).backward()
         want = [ref.data, q.grad, k.grad, v.grad]
     else:
-        want = _per_example(q, k, v, mask, p, np.random.default_rng(9), weight)
+        want = _per_example(q, k, v, lengths, p, np.random.default_rng(9), weight)
     assert out.dtype == np.dtype(dtype)
     np.testing.assert_allclose(out.transpose(0, 2, 1, 3)[real],
                                want[0].transpose(0, 2, 1, 3)[real], rtol=tol, atol=tol)
@@ -134,72 +135,65 @@ def test_real_rows_match_reference_and_padded_rows_are_zero(case, n, p, dtype, t
 @pytest.mark.parametrize("n", [0, 8])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_each_example_gets_the_bits_it_gets_alone(n, dtype):
-    # a fewshot-shaped batch: lengths 1..41, two of them with interior holes
+    # a fewshot-shaped batch: lengths 1..41, one of them full
     b, t = 16, 41
     gen = np.random.default_rng(11)
-    mask = (np.arange(t) < gen.integers(1, t + 1, size=b)[:, None]).astype(float)
-    mask[0], mask[1, :30], mask[2, :9] = 1, 1, 1
-    mask[1, 20:23] = mask[2, 4] = 0
+    lengths = gen.integers(1, t + 1, size=b)
+    lengths[0] = t
     w = gen.normal(size=(b, 4, t, 16))
     q, k, v, _ = _inputs(n, dtype, seed=12, b=b, h=4, t=t, dh=16)
-    out = attention_core(q, k, v, mask)
+    out = attention_core(q, k, v, lengths)
     sum_all(out * w).backward()
     for i in range(b):
         qi, ki, vi = (parameter(a.data[i:i + 1], dtype=dtype) for a in (q, k, v))
-        alone = attention_core(qi, ki, vi, mask[i:i + 1])
+        alone = attention_core(qi, ki, vi, lengths[i:i + 1])
         sum_all(alone * w[i:i + 1]).backward()
         for got, want in ((out.data, alone.data), (q.grad, qi.grad), (k.grad, ki.grad),
                           (v.grad, vi.grad)):
             assert got.dtype == want.dtype and got[i].tobytes() == want[0].tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 3])
-def test_example_without_real_token_gets_zero_context_and_gradients(n):
-    q, k, v, mask = _inputs(n, "float64", b=3)
-    mask[1] = 0
-    out = attention_core(q, k, v, mask, 0.3, np.random.default_rng(1))
-    sum_all(out * out).backward()
-    for a in (out.data, q.grad, k.grad, v.grad):
-        assert np.all(a[1] == 0.0) and np.any(a[0] != 0.0) and np.any(a[2] != 0.0)
-
-
 def test_padded_keys_get_no_weight_and_no_gradient():
-    q, k, v, mask = _inputs(3, "float64")
+    q, k, v, lengths = _inputs(3, "float64")
     v.data[0, :, -2:] = 1e6  # padded values of row 0 must not leak into its output
-    out = attention_core(q, k, v, mask)
+    out = attention_core(q, k, v, lengths)
     assert np.all(np.abs(out.data[0]) < 1e3)
     sum_all(out).backward()
     assert np.all(k.grad[0, :, -2:] == 0.0) and np.all(v.grad[0, :, -2:] == 0.0)
 
 
 def test_frozen_inputs_get_no_gradient():
-    q, k, v, mask = _inputs(3, "float64")
+    q, k, v, lengths = _inputs(3, "float64")
     q.requires_grad = False
-    sum_all(attention_core(q, k, v, mask)).backward()
+    sum_all(attention_core(q, k, v, lengths)).backward()
     assert q.grad is None and k.grad is not None and v.grad is not None
 
 
 @pytest.mark.parametrize("change, match", [
-    (lambda q, k, v, m: (q, k, v, m[:, :-1]), "attn_mask"),
+    (lambda q, k, v, m: (q, k, v, m[:-1]), "lengths"),
+    (lambda q, k, v, m: (q, k, v, m[:, None]), "lengths"),
+    (lambda q, k, v, m: (q, k, v, m.astype(float)), "lengths"),
+    (lambda q, k, v, m: (q, k, v, np.array([0, 5])), r"lengths\[0\] is 0"),
+    (lambda q, k, v, m: (q, k, v, np.array([5, 6])), r"lengths\[1\] is 6"),
     (lambda q, k, v, m: (q, Tensor(k.data[..., :4, :]), Tensor(v.data[..., :4, :]), m),
      "keys"),
     (lambda q, k, v, m: (q, k, Tensor(v.data[..., :-1]), m), "shapes"),
     (lambda q, k, v, m: (q, Tensor(k.data.astype(np.float32)), v, m), "dtypes"),
 ])
 def test_bad_inputs_rejected(change, match):
-    q, k, v, mask = _inputs(3, "float64")
+    q, k, v, lengths = _inputs(3, "float64")
     with pytest.raises(ValueError, match=match):
-        attention_core(*change(q, k, v, mask))
+        attention_core(*change(q, k, v, lengths))
 
 
 def test_dropout_without_generator_rejected():
-    q, k, v, mask = _inputs(3, "float64")
+    q, k, v, lengths = _inputs(3, "float64")
     with pytest.raises(ValueError, match="gen=None"):
-        attention_core(q, k, v, mask, 0.5, None)
+        attention_core(q, k, v, lengths, 0.5, None)
 
 
 @pytest.mark.parametrize("p", [1.0, np.inf, 1.5, -0.5, np.nan])
 def test_dropout_p_outside_unit_interval_rejected(p):
-    q, k, v, mask = _inputs(3, "float64")
+    q, k, v, lengths = _inputs(3, "float64")
     with pytest.raises(ValueError, match="dropout_p"):
-        attention_core(q, k, v, mask, p, np.random.default_rng(1))
+        attention_core(q, k, v, lengths, p, np.random.default_rng(1))

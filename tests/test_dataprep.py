@@ -390,6 +390,27 @@ class TestDatasetManifestValidation:
             DatasetManifest(root).validate()
 
 
+    @staticmethod
+    def _manifest_with_labels(tmp_path, labels: bytes | None):
+        root = tmp_path / "ds"
+        root.mkdir()
+        for name in ("train", "dev", "test", "unlabeled"):
+            save_jsonl(root / f"{name}.jsonl", [])
+        if labels is not None:
+            (root / "labels.txt").write_bytes(labels)
+        return DatasetManifest(root)
+
+    @pytest.mark.parametrize("labels, why", [(None, "No such file"),
+                                             (b"caf\xe9\n", "utf-8")],
+                             ids=["missing", "not UTF-8"])
+    @pytest.mark.parametrize("call", ["labels", "validate"])
+    def test_unreadable_labels_file_names_it(self, tmp_path, labels, why, call):
+        manifest = self._manifest_with_labels(tmp_path, labels)
+        with pytest.raises(DataError, match=re.escape(
+                f"cannot read {manifest.labels_path}: ") + f".*{why}"):
+            getattr(manifest, call)()
+
+
 class TestSyntheticSpec:
     def test_overlapping_keywords_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):

@@ -90,10 +90,10 @@ def op_cases(name, seed):
         q = parameter(gen.normal(size=(b, h, t, dh)), dtype="float64")
         kk = parameter(gen.normal(size=(b, h, n + t, dh)), dtype="float64")
         v = parameter(gen.normal(size=(b, h, n + t, dh)), dtype="float64")
-        mask = np.ones((b, t))
-        mask[0, t // 2 + 1:] = 0
+        lengths = np.full(b, t)
+        lengths[0] = t // 2 + 1
         return lambda: weighted_sum(
-            attention_core(q, kk, v, mask, drop_p, np.random.default_rng(seed + 2)),
+            attention_core(q, kk, v, lengths, drop_p, np.random.default_rng(seed + 2)),
             np.random.default_rng(seed + 1)), {"q": q, "k": kk, "v": v}
     if name in ("scatter_rows", "gather_rows"):
         # a random subset of the b*t positions, in increasing order

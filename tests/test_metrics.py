@@ -405,6 +405,13 @@ class TestMetricsTableCsv:
         (row,) = read_metrics_csv(path)
         assert (row.lr, row.macro_f1) == (0.5, 0.25)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8)])
+        path.write_bytes(path.read_bytes().replace(b"synthetic", b"caf\xe9"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8")):
+            read_metrics_csv(path)
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("method,dataset\nft,s\n")

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from pforge.model import (
@@ -25,6 +27,7 @@ from pforge.model import (
     roberta_base_shape,
 )
 from pforge.numerics import AdamW, Rng, Tensor, cross_entropy, dropout, grad_check, sum_all
+from pforge.textdata import CLS_ID, SPECIALS, EncodedExample, collate
 
 TINY = ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16,
                    vocab_size=50, max_positions=32, prefix_length=4)
@@ -43,9 +46,10 @@ def rand_layer(d: int, gen: np.random.Generator, dtype: str = "float64") -> Laye
     )
 
 
-def attention_oracle(x, lw: LayerWeights, num_heads, p_k, p_v, attn_mask):
-    """Scalar-loop multi-head attention with prefix rows, pure numpy; a
-    padded query gets a zero context row, as in attention_core."""
+def attention_oracle(x, lw: LayerWeights, num_heads, p_k, p_v, lengths):
+    """Scalar-loop multi-head attention with prefix rows over a right-padded
+    batch, pure numpy; a padded query gets a zero context row, as in
+    attention_core."""
     b, t, d = x.shape
     dh = d // num_heads
     n = 0 if p_k is None else p_k.shape[0]
@@ -58,11 +62,10 @@ def attention_oracle(x, lw: LayerWeights, num_heads, p_k, p_v, attn_mask):
             sl = slice(h * dh, (h + 1) * dh)
             keys = [p_k[j, sl] for j in range(n)] + [k[bi, j, sl] for j in range(t)]
             vals = [p_v[j, sl] for j in range(n)] + [v[bi, j, sl] for j in range(t)]
-            for i in np.flatnonzero(attn_mask[bi]):
+            for i in range(lengths[bi]):
                 scores = np.array([q[bi, i, sl] @ kj for kj in keys]) / np.sqrt(dh)
-                for j in range(t):
-                    if attn_mask[bi, j] == 0:
-                        scores[n + j] = -1.0e9
+                for j in range(lengths[bi], t):
+                    scores[n + j] = -1.0e9
                 e = np.exp(scores - scores.max())
                 p = e / e.sum()
                 ctx[bi, i, sl] = sum(pj * vj for pj, vj in zip(p, vals))
@@ -133,11 +136,11 @@ class TestAttentionWithPrefix:
         x = np.array([[[1.0, 2.0]]])
         p_k = np.array([[0.5, -0.3]])
         p_v = np.array([[0.2, 0.7]])
-        mask = np.ones((1, 1))
+        lengths = np.array([1])
         got = attention_with_prefix(
             Tensor(x), lw, 1,
-            (Tensor(p_k), Tensor(p_v)), mask)
-        want = attention_oracle(x, lw, 1, p_k, p_v, mask)
+            (Tensor(p_k), Tensor(p_v)), lengths)
+        want = attention_oracle(x, lw, 1, p_k, p_v, lengths)
         assert got.shape == (1, 1, 2)
         np.testing.assert_allclose(got.data, want, atol=1e-6)
 
@@ -154,12 +157,10 @@ class TestAttentionWithPrefix:
         x = gen.normal(0, 1, size=(b, t, d))
         p_k = gen.normal(0, 1, size=(n, d)) if n else None
         p_v = gen.normal(0, 1, size=(n, d)) if n else None
-        mask = np.ones((b, t))
-        if pad:
-            mask[:, -pad:] = 0
+        lengths = np.full(b, t - pad)
         kv = (Tensor(p_k), Tensor(p_v)) if n else None
-        got = attention_with_prefix(Tensor(x), lw, heads, kv, mask)
-        want = attention_oracle(x, lw, heads, p_k, p_v, mask)
+        got = attention_with_prefix(Tensor(x), lw, heads, kv, lengths)
+        want = attention_oracle(x, lw, heads, p_k, p_v, lengths)
         np.testing.assert_allclose(got.data, want, atol=1e-6)
         assert got.shape == (b, t, d)
 
@@ -170,7 +171,7 @@ class TestAttentionWithPrefix:
         x = Tensor(gen.normal(0, 1, size=(1, 120, 4)))
         kv = (Tensor(gen.normal(0, 1, size=(8, 4))),
               Tensor(gen.normal(0, 1, size=(8, 4))))
-        out = attention_with_prefix(x, lw, 2, kv, np.ones((1, 120)))
+        out = attention_with_prefix(x, lw, 2, kv, np.array([120]))
         assert out.shape == (1, 120, 4)
 
     def test_prefix_width_mismatch_rejected(self):
@@ -179,14 +180,14 @@ class TestAttentionWithPrefix:
         x = Tensor(gen.normal(0, 1, size=(1, 2, 4)))
         kv = (Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))))
         with pytest.raises(ValueError, match="width"):
-            attention_with_prefix(x, lw, 2, kv, np.ones((1, 2)))
+            attention_with_prefix(x, lw, 2, kv, np.array([2]))
 
     def test_mask_shape_checked(self):
         gen = np.random.default_rng(1)
         lw = rand_layer(4, gen)
         x = Tensor(gen.normal(0, 1, size=(1, 2, 4)))
-        with pytest.raises(ValueError, match="attn_mask"):
-            attention_with_prefix(x, lw, 2, None, np.ones((1, 3)))
+        with pytest.raises(ValueError, match="lengths"):
+            attention_with_prefix(x, lw, 2, None, np.array([2, 2]))
 
 
 class TestAttentionProbs:
@@ -194,9 +195,7 @@ class TestAttentionProbs:
         gen = np.random.default_rng(3)
         b, heads, t, n = 2, 2, 5, 3
         scores = Tensor(gen.normal(0, 2, size=(b, heads, t, n + t)))
-        mask = np.ones((b, t))
-        mask[0, -2:] = 0
-        probs = prefix_attention_probs(scores, mask).data
+        probs = prefix_attention_probs(scores, np.array([3, 5])).data
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(probs[0, :, :, n + 3:] == 0.0)
         # prefix columns stay open even for the padded batch row
@@ -204,7 +203,7 @@ class TestAttentionProbs:
 
     def test_score_key_count_checked(self):
         with pytest.raises(ValueError, match="keys"):
-            prefix_attention_probs(Tensor(np.zeros((1, 1, 2, 1))), np.ones((1, 2)))
+            prefix_attention_probs(Tensor(np.zeros((1, 1, 2, 1))), np.array([2]))
 
 
 class TestEncode:
@@ -319,6 +318,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="attn_mask row 1 has no real token"):
             encode(self.ids, mask, self.weights)
 
+    @pytest.mark.parametrize("row", [[0, 1, 1, 1, 0], [1, 1, 0, 1, 0]],
+                             ids=["left-padded", "interior hole"])
+    def test_row_not_right_padded_rejected(self, row):
+        # accepted, a left-padded row would have classify pool its padded
+        # position 0, whose zero hidden state gives logits of head.b alone
+        mask = self.mask.copy()
+        mask[1] = row
+        with pytest.raises(ValueError, match="attn_mask row 1 is not right-padded"):
+            encode(self.ids, mask, self.weights)
+
     @pytest.mark.parametrize("with_prefix", [False, True])
     def test_padded_batch_matches_each_sequence_alone(self, with_prefix):
         cfg = replace(TINY, precision="float64")
@@ -337,6 +346,30 @@ class TestEncode:
                 alone = encode(ids[i:i + 1, :n], row[None, :n], weights, prefix).data[0]
                 np.testing.assert_allclose(out[i, :n], alone, rtol=1e-12, atol=0)
                 assert np.all(out[i, n:] == 0.0)
+
+
+class TestCollateEncodeContract:
+    """``encode`` takes what ``collate`` returns, row by row as if alone."""
+
+    CFG = replace(TINY, precision="float64")
+    WEIGHTS = EncoderWeights(CFG, Rng(5))
+    PREFIX = PrefixSet.init_random(CFG, Rng(6))
+
+    @given(st.lists(st.lists(st.integers(len(SPECIALS), TINY.vocab_size - 1),
+                             max_size=TINY.token_budget - 1),
+                    min_size=1, max_size=8),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_collated_batch_rows_equal_each_example_alone(self, tails, with_prefix):
+        prefix = self.PREFIX if with_prefix else None
+        examples = [EncodedExample([CLS_ID] + tail) for tail in tails]
+        ids, mask, _ = collate(examples)
+        out = encode(ids, mask, self.WEIGHTS, prefix).data
+        for i, e in enumerate(examples):
+            alone = encode(np.array([e.ids]), np.ones((1, len(e.ids)), dtype=int),
+                           self.WEIGHTS, prefix).data[0]
+            np.testing.assert_allclose(out[i, :len(e.ids)], alone, rtol=1e-12, atol=0)
+            assert np.all(out[i, len(e.ids):] == 0.0)
 
 
 class TestClassify:

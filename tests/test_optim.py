@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ def test_rejects_non_finite_lr(lr):
     # step would turn every parameter into NaN
     with pytest.raises(ValueError, match=f"learning rate.*{lr}"):
         AdamW({"p": parameter(np.zeros(1))}, lr=lr)
+
+
+@pytest.mark.parametrize("lr", [True, False, "0.1", None, [0.1], 1 + 0j])
+def test_rejects_lr_that_is_not_a_real_number(lr):
+    with pytest.raises(ValueError, match=re.escape(f"lr must be a finite positive number, "
+                                                   f"got {lr!r}")):
+        AdamW({"p": parameter(np.zeros(1))}, lr=lr)
+
+
+@pytest.mark.parametrize("lr", [1, np.float32(0.5), np.float64(1e-3)])
+def test_accepts_real_lr_of_any_numeric_type(lr):
+    assert AdamW({"p": parameter(np.zeros(1))}, lr=lr).lr == lr
 
 
 def test_shape_mismatch_rejected():

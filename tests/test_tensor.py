@@ -28,7 +28,6 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.attention import additive_mask
 from pforge.numerics.tensor import _make, dropout_mask
 
 
@@ -321,23 +320,19 @@ def float_dropout_mask(shape, p, dtype, gen):
     return np.multiply(keep, dtype(1.0 / (1.0 - p)), dtype=dtype).reshape(shape)
 
 
-def float_mask_attention(q, k, v, attn_mask, p, gen):
+def float_mask_attention(q, k, v, lengths, p, gen):
     """attention_core's output and backward, example by example, each cut to
-    its last real token and applying a float dropout mask drawn at that cut,
-    examples in batch order."""
-    t = q.shape[2]
-    n = k.shape[-2] - t
-    real = attn_mask != 0
+    its length and applying a float dropout mask drawn at that cut, examples
+    in batch order."""
+    n = k.shape[-2] - q.shape[2]
     out = np.zeros_like(q)
     parts = []
-    for i, length in enumerate((real * np.arange(1, t + 1)).max(axis=1)):
-        m, cols = real[i, :length], slice(0, n + length)
+    for i, length in enumerate(lengths):
+        cols = slice(0, n + length)
         probs = q[i, :, :length] @ np.swapaxes(k[i, :, cols], -1, -2)
-        probs += additive_mask(m[None], n, probs.dtype)[0]
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        probs[:, ~m] = 0
         mask = float_dropout_mask(probs.shape, p, q.dtype.type, gen)
         out[i, :, :length] = (probs * mask) @ v[i, :, cols]
         parts.append((i, length, cols, probs, mask))
@@ -390,12 +385,11 @@ class TestBooleanKeepMask:
         gen = np.random.default_rng(4)
         q, k, v = (gen.normal(size=s).astype(dtype)
                    for s in [(2, 2, 5, 3), (2, 2, 8, 3), (2, 2, 8, 3)])
-        attn_mask = np.ones((2, 5))
-        attn_mask[0, -2:] = 0
+        lengths = np.array([3, 5])
         g = gen.normal(size=(2, 2, 5, 3)).astype(dtype)
         inputs = [parameter(a, dtype=np.dtype(dtype).name) for a in (q, k, v)]
-        out = attention_core(*inputs, attn_mask, 0.3, np.random.default_rng(5))
-        want, want_bwd = float_mask_attention(q, k, v, attn_mask, 0.3,
+        out = attention_core(*inputs, lengths, 0.3, np.random.default_rng(5))
+        want, want_bwd = float_mask_attention(q, k, v, lengths, 0.3,
                                               np.random.default_rng(5))
         assert same_bits(out.data, want)
         for got, ref in zip(out._node.bwd(g), want_bwd(g)):
@@ -498,7 +492,7 @@ class TestLifetime:
         gen = np.random.default_rng(3)
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3)), dtype="float64")
                    for _ in range(3))
-        out = attention_core(q, k, v, np.ones((1, 4)))
+        out = attention_core(q, k, v, np.array([4]))
         (*_, probs, _), = self._saved_examples(out)
         probs = weakref.ref(probs)
         sum_all(out).backward()
@@ -508,7 +502,7 @@ class TestLifetime:
     def test_keep_masks_saved_at_one_byte_per_entry(self):
         gen = np.random.default_rng(3)
         q, k, v = (parameter(gen.normal(size=(1, 2, 4, 3))) for _ in range(3))
-        out = attention_core(q, k, v, np.ones((1, 4)), 0.1, gen)
+        out = attention_core(q, k, v, np.array([4]), 0.1, gen)
         (*_, probs, keep), = self._saved_examples(out)
         assert keep.dtype == np.bool_ and keep.nbytes == probs.size
         keep = self._saved(dropout(q, 0.1, gen), "keep")
@@ -532,7 +526,7 @@ class TestLifetime:
 
 
 # op -> (function of its tensor inputs, input shapes); attention_core gets
-# one prefix key and a fixed mask over 4 real keys
+# one prefix key and fixed lengths within 4 real keys
 MULTI_INPUT_OPS = {
     "add": (add, [(2, 3), (3,)]),
     "mul": (mul, [(2, 3), (2, 3)]),
@@ -540,7 +534,7 @@ MULTI_INPUT_OPS = {
     "layer_norm": (layer_norm, [(2, 3), (3,), (3,)]),
     "concat_seq": (concat_seq, [(2, 3), (4, 3)]),
     "attention_core": (
-        lambda q, k, v: attention_core(q, k, v, np.array([[1, 1, 1, 0], [1, 1, 1, 1]])),
+        lambda q, k, v: attention_core(q, k, v, np.array([3, 4])),
         [(2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)],
     ),
 }

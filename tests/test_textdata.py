@@ -329,6 +329,12 @@ class TestLoadJsonl:
         with pytest.raises(DataError, match="cannot read"):
             load_jsonl(tmp_path / "nope.jsonl")
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b'{"text": "caf\xe9"}\n')
+        with pytest.raises(DataError, match=re.escape(f"cannot read {path}: ") + ".*utf-8"):
+            load_jsonl(path)
+
     def test_non_object_line_malformed(self, tmp_path):
         path = self.write(tmp_path, ["[1, 2]"] + [json.dumps({"text": "x"})] * 10)
         with pytest.raises(DataError):
