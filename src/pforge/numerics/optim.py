@@ -41,6 +41,9 @@ class AdamW:
         """
         self.t += 1
         b1, b2 = BETAS
+        # a Python float, like BETAS and EPS, keeps each product at the
+        # parameter's dtype whatever numeric type lr was given as
+        lr = float(self.lr)
         for name, p in self.params.items():
             param = p.data
             m, v = self._state[name]
@@ -48,14 +51,25 @@ class AdamW:
             if grad.shape != param.shape:
                 raise ValueError(f"{name}: grad shape {grad.shape} differs from "
                                  f"param shape {param.shape}")
+            # the update below, each product, quotient and sum in the order
+            # written, through two scratch arrays instead of a temporary per step:
+            #   m = b1 m + (1 - b1) grad;  v = b2 v + (1 - b2) (grad grad)
+            #   param -= lr wd param;  param -= lr mhat / (sqrt(vhat) + EPS)
+            s1, s2 = np.empty_like(param), np.empty_like(param)
             m *= b1
-            m += (1.0 - b1) * grad
+            m += np.multiply(grad, 1.0 - b1, out=s1)
             v *= b2
-            v += (1.0 - b2) * (grad * grad)
-            mhat = m / (1.0 - b1**self.t)
-            vhat = v / (1.0 - b2**self.t)
-            param -= self.lr * WEIGHT_DECAY * param
-            param -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+            np.multiply(grad, grad, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            param -= np.multiply(param, lr * WEIGHT_DECAY, out=s1)
+            mhat = np.divide(m, 1.0 - b1**self.t, out=s1)
+            mhat *= lr
+            denom = np.divide(v, 1.0 - b2**self.t, out=s2)  # vhat
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            mhat /= denom
+            param -= mhat
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -70,10 +70,10 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
         try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
             return cls(lines)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
             raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -439,9 +439,10 @@ class TestMlmLogits:
         hidden = gen.normal(size=(2, 5, 8))
         rows = np.array([0, 1, 1])
         cols = np.array([2, 0, 4])
-        got = mlm_logits(Tensor(hidden), (rows, cols), self.weights).data
+        # weights at the hidden states' float64, which layer_norm requires
+        w = EncoderWeights(replace(TINY, precision="float64"), Rng(5))
+        got = mlm_logits(Tensor(hidden), (rows, cols), w).data
 
-        w = self.weights
         h = hidden[rows, cols]
         h = h @ w.mlm_dense_w.data.astype(np.float64) + w.mlm_dense_b.data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))

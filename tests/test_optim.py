@@ -103,3 +103,36 @@ def test_two_steps_match_sequential_hand_rollout():
         p -= 0.05 * 0.01 * p
         p -= 0.05 * mh / (np.sqrt(vh) + 1e-8)
     np.testing.assert_allclose(p_lib.data, [p], rtol=1e-12)
+
+
+def adamw_formula(param, grads, lr):
+    """The update as out-of-place numpy formulas, one temporary per step: the
+    reference for AdamW.step's in-place arithmetic."""
+    param = param.copy()
+    m, v = np.zeros_like(param), np.zeros_like(param)
+    for t, grad in enumerate(grads, start=1):
+        grad = np.zeros_like(param) if grad is None else grad
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * (grad * grad)
+        mhat = m / (1.0 - 0.9**t)
+        vhat = v / (1.0 - 0.999**t)
+        param = param - lr * 0.01 * param
+        param = param - lr * mhat / (np.sqrt(vhat) + 1e-8)
+    return param
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("lr", [1e-3, np.float64(2e-2)], ids=["float", "np.float64"])
+def test_steps_have_the_bits_of_the_out_of_place_formula(dtype, lr):
+    gen = np.random.default_rng(3)
+    start = gen.normal(size=(7, 5)).astype(dtype)
+    grads = [gen.normal(size=(7, 5)).astype(dtype) * 10.0**-k for k in range(4)]
+    grads.insert(2, None)
+    p = parameter(start, dtype=dtype)
+    opt = AdamW({"p": p}, lr=lr)
+    for grad in grads:
+        p.grad = grad
+        opt.step()
+    want = adamw_formula(start, grads, float(lr))
+    assert p.data.dtype == want.dtype
+    assert np.array_equal(p.data.view(f"u{p.data.itemsize}"), want.view(f"u{want.itemsize}"))

@@ -28,7 +28,12 @@ from pforge.numerics import (
     sum_all,
     transpose,
 )
-from pforge.numerics.tensor import _make, dropout_mask
+from pforge.numerics import attention as attention_module
+from pforge.numerics import packing as packing_module
+from pforge.numerics import special
+from pforge.numerics import tensor as tensor_module
+from pforge.numerics.packing import gather_rows, scatter_rows
+from pforge.numerics.tensor import _make, dropout_mask, expand, reshape, scale
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,6 +154,17 @@ class TestLayerNorm:
         with pytest.raises(ValueError, match="gain"):
             layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("name", ["gain", "bias"])
+    @pytest.mark.parametrize("dtype, other", [("float32", "float64"),
+                                              ("float64", "float32")])
+    def test_affine_dtype_mismatch_rejected_naming_it(self, name, dtype, other):
+        dtypes = {"gain": dtype, "bias": dtype, name: other}
+        with pytest.raises(ValueError, match=f"layer_norm {name} dtype {other} "
+                                             f"differs from the input's {dtype}"):
+            layer_norm(Tensor(np.ones((2, 4)), dtype=dtype),
+                       Tensor(np.ones(4), dtype=dtypes["gain"]),
+                       Tensor(np.zeros(4), dtype=dtypes["bias"]))
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -187,6 +203,21 @@ class TestCrossEntropy:
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match="out of range"):
             cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
+
+    @pytest.mark.parametrize("targets", [np.array([0.0, 1.0]), np.array([True, False]),
+                                         np.array([0, 1], dtype=np.float32)],
+                             ids=["float64", "bool", "float32"])
+    def test_non_integer_targets_rejected_naming_them(self, targets):
+        with pytest.raises(ValueError, match=f"targets must be integer class ids, "
+                                             f"got dtype {targets.dtype}"):
+            cross_entropy(Tensor(np.zeros((2, 3))), targets)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_any_integer_targets_accepted(self, dtype):
+        logits = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0]])
+        want = cross_entropy(Tensor(logits), np.array([0, 1])).data
+        got = cross_entropy(Tensor(logits), np.array([0, 1], dtype=dtype)).data
+        assert got == want
 
     @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -396,6 +427,184 @@ class TestBooleanKeepMask:
             assert same_bits(got, ref)
 
 
+# The out-of-place formulas that gelu, layer_norm, cross_entropy, concat_seq
+# and matmul's backward compute in place: each returns the forward result
+# and the backward closure.
+
+
+def gelu_formula(x):
+    cdf = special.erf(x * 0.7071067811865476)
+    cdf += 1.0
+    cdf *= 0.5
+    deriv = cdf + x * (0.3989422804014327 * np.exp(-0.5 * x * x))
+    return x * cdf, lambda g: (deriv * g,)
+
+
+def layer_norm_formula(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+
+    def bwd(g):
+        gxhat = g * gain
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        axes = tuple(range(g.ndim - 1))
+        return (inv * (gxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes),
+                g.sum(axis=axes))
+
+    return xhat * gain + bias, bwd
+
+
+def cross_entropy_formula(logits, targets):
+    n, c = logits.shape
+    keep = targets != -100
+    n_keep = int(keep.sum())
+    tk = targets[keep]
+    x = logits[keep]
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1)) + x.max(axis=-1)
+    losses = lse - x[np.arange(n_keep), tk]
+
+    def bwd(g):
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[np.arange(n_keep), tk] -= 1.0
+        full = np.zeros((n, c), dtype=logits.dtype)
+        full[keep] = probs * (float(g) / n_keep)
+        return (full,)
+
+    return np.asarray(losses.mean(), dtype=logits.dtype), bwd
+
+
+class TestInPlaceBits:
+    """Each op written in place has the bits of its out-of-place formula."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, dtype):
+        gen = np.random.default_rng(11)
+        # wide enough for erf's tail branch, and more than one erf chunk
+        x = (gen.normal(size=(170, 100)) * 2).astype(dtype)
+        x[0, :4] = [0.0, -0.0, 9.0, -9.0]
+        g = gen.normal(size=x.shape).astype(dtype)
+        out = gelu(parameter(x, dtype=np.dtype(dtype).name))
+        want, want_bwd = gelu_formula(x)
+        assert same_bits(out.data, want)
+        assert same_bits(out._node.bwd(g)[0], want_bwd(g)[0])
+
+    @pytest.mark.parametrize("frozen", [None, 0, 1, 2], ids=["none", "x", "gain", "bias"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(37, 64), (3, 11, 64)], ids=["2d", "3d"])
+    def test_layer_norm(self, shape, dtype, frozen):
+        gen = np.random.default_rng(12)
+        arrays = [gen.normal(size=s).astype(dtype) * 3 + 1 for s in (shape, shape[-1:],
+                                                                      shape[-1:])]
+        g = gen.normal(size=shape).astype(dtype)
+        out = layer_norm(*(Tensor(a, requires_grad=i != frozen)
+                           for i, a in enumerate(arrays)))
+        want, want_bwd = layer_norm_formula(*arrays)
+        assert same_bits(out.data, want)
+        for i, (got, ref) in enumerate(zip(out._node.bwd(g), want_bwd(g))):
+            assert got is None if i == frozen else same_bits(got, ref)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("ignored", [0, 3], ids=["none-ignored", "some-ignored"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy(self, dtype, ignored, order):
+        gen = np.random.default_rng(13)
+        logits = (gen.normal(size=(40, 2000)) * 4).astype(dtype, order=order)
+        targets = gen.integers(0, 2000, size=40)
+        targets[gen.permutation(40)[:ignored]] = -100
+        g = np.asarray(0.37, dtype=dtype)
+        out = cross_entropy(parameter(logits, dtype=np.dtype(dtype).name), targets)
+        want, want_bwd = cross_entropy_formula(logits, targets)
+        assert same_bits(out.data, want)
+        assert same_bits(out._node.bwd(g)[0], want_bwd(g)[0])
+
+    def test_concat_seq_gradients_are_slices_of_the_upstream_gradient(self):
+        gen = np.random.default_rng(14)
+        p, q = parameter(gen.normal(size=(2, 3, 4))), parameter(gen.normal(size=(2, 5, 4)))
+        g = gen.normal(size=(2, 8, 4)).astype(np.float32)
+        gp, gq = concat_seq(p, q)._node.bwd(g)
+        assert np.shares_memory(gp, g) and np.shares_memory(gq, g)
+        assert same_bits(gp, np.ascontiguousarray(g[:, :3])) and same_bits(gq, g[:, 3:].copy())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 40, 64), (4, 3, 2, 64)], ids=["3d", "4d"])
+    def test_matmul_input_gradient_matches_the_transposed_view_product(self, shape, dtype):
+        # a BLAS build may order the sums of a transposed and a contiguous
+        # operand differently, so this holds to the dot product's error bound
+        gen = np.random.default_rng(15)
+        x, w = gen.normal(size=shape).astype(dtype), gen.normal(size=(64, 48)).astype(dtype)
+        g = gen.normal(size=shape[:-1] + (48,)).astype(dtype)
+        ga, gw = matmul(parameter(x, dtype=np.dtype(dtype).name),
+                        parameter(w, dtype=np.dtype(dtype).name))._node.bwd(g)
+        want = g @ np.swapaxes(w, -1, -2)
+        bound = 48 * np.finfo(dtype).eps * (np.abs(g) @ np.abs(w.T))
+        assert ga.dtype == dtype and np.all(np.abs(ga - want) <= bound)
+        assert same_bits(gw, (np.swapaxes(x, -1, -2) @ g).sum(axis=tuple(range(len(shape) - 2))))
+
+
+# Integer inputs of the ops below; test_ops_do_not_mutate_inputs checks them too.
+INT_INPUTS = {
+    "targets": np.array([2, 0, 5, 1]),
+    "ignoring": np.array([2, -100, 5, 1]),
+    "ids": np.array([[1, 4], [4, 0]]),
+    "rows": np.array([0, 1, 1]),
+    "cols": np.array([3, 0, 2]),
+    "lengths": np.array([2, 3]),
+    "packed": np.array([0, 1, 3, 4, 5]),
+}
+
+# Every tape op of tensor.py, attention.py and packing.py: (input shapes, the
+# op as a function of its tensor inputs). split_heads and merge_heads compose
+# two nodes; attention_core gets one prefix key and dropout.
+TAPE_OPS = {
+    "add": ([(2, 3), (3,)], add),
+    "mul": ([(2, 3), (2, 3)], mul),
+    "scale": ([(2, 3)], lambda a: scale(a, 0.5)),
+    "reshape": ([(2, 6)], lambda a: reshape(a, (3, 4))),
+    "transpose": ([(2, 3, 4)], lambda a: transpose(a, (1, 2, 0))),
+    "expand": ([(1, 3)], lambda a: expand(a, (4, 3))),
+    "sum_all": ([(2, 3)], sum_all),
+    "matmul": ([(2, 4, 3), (3, 5)], matmul),
+    "softmax_rows": ([(3, 5)], softmax_rows),
+    "layer_norm": ([(4, 6), (6,), (6,)], layer_norm),
+    "gelu": ([(3, 5)], gelu),
+    "cross_entropy": ([(4, 6)], lambda x: cross_entropy(x, INT_INPUTS["targets"])),
+    "cross_entropy-ignoring": ([(4, 6)],
+                               lambda x: cross_entropy(x, INT_INPUTS["ignoring"])),
+    "concat_seq": ([(2, 2, 3), (2, 4, 3)], concat_seq),
+    "embedding": ([(5, 3)], lambda t: embedding(t, INT_INPUTS["ids"])),
+    "gather_positions": ([(2, 4, 3)], lambda x: gather_positions(
+        x, INT_INPUTS["rows"], INT_INPUTS["cols"])),
+    "dropout": ([(4, 5)], lambda x: dropout(x, 0.3, np.random.default_rng(0))),
+    "split_heads": ([(2, 3, 4)], lambda x: split_heads(x, 2)),
+    "merge_heads": ([(2, 2, 3, 2)], merge_heads),
+    "attention_core": ([(2, 2, 3, 2), (2, 2, 4, 2), (2, 2, 4, 2)],
+                       lambda q, k, v: attention_core(q, k, v, INT_INPUTS["lengths"], 0.2,
+                                                      np.random.default_rng(1))),
+    "scatter_rows": ([(5, 4)], lambda x: scatter_rows(x, INT_INPUTS["packed"], (2, 3))),
+    "gather_rows": ([(2, 3, 4)], lambda x: gather_rows(x, INT_INPUTS["packed"])),
+}
+
+# public functions of those modules that are not tape ops
+NOT_TAPE_OPS = {"no_grad", "parameter", "const", "dropout_mask"}
+
+
+def run_backward(out: Tensor, g: np.ndarray) -> None:
+    """Run out's node and every op node below it once, from the upstream
+    gradient g, without storing a gradient anywhere."""
+    stack = [(out._node, g)]
+    while stack:
+        node, g = stack.pop()
+        for parent, pg in zip(node.parents, node.bwd(g)):
+            if parent is not None and parent.leaf is None and pg is not None:
+                stack.append((parent, pg))
+
+
 class TestTape:
     def test_no_grad_skips_tape(self):
         p = parameter(np.ones((2, 2)), dtype="float64")
@@ -418,13 +627,30 @@ class TestTape:
         with pytest.raises(ValueError, match="requires no gradient"):
             sum_all(Tensor(np.ones(3))).backward()
 
-    def test_ops_do_not_mutate_inputs(self, np_rng):
-        a = np_rng.normal(size=(3, 3))
-        t = Tensor(a.copy())
-        softmax_rows(t)
-        matmul(t, t)
-        gelu(t)
-        np.testing.assert_array_equal(t.data, a)
+    def test_every_tape_op_is_checked_for_mutation(self):
+        ops = {name for module in (tensor_module, attention_module, packing_module)
+               for name, fn in vars(module).items()
+               if callable(fn) and getattr(fn, "__module__", None) == module.__name__
+               and not name.startswith("_") and not isinstance(fn, type)}
+        assert ops - NOT_TAPE_OPS == {name.split("-")[0] for name in TAPE_OPS}
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", list(TAPE_OPS))
+    def test_ops_do_not_mutate_inputs(self, name, dtype):
+        shapes, fn = TAPE_OPS[name]
+        gen = np.random.default_rng(7)
+        arrays = [gen.normal(size=shape).astype(dtype) for shape in shapes]
+        before = [a.copy() for a in arrays]
+        ints = {key: a.copy() for key, a in INT_INPUTS.items()}
+        out = fn(*(Tensor(a, requires_grad=True) for a in arrays))
+        g = np.asarray(gen.normal(size=out.shape), dtype=dtype)
+        g_before = g.copy()
+        run_backward(out, g)
+        for a, b in zip(arrays, before):
+            assert same_bits(a, b)
+        assert same_bits(g, g_before)
+        for key, a in INT_INPUTS.items():
+            np.testing.assert_array_equal(a, ints[key])
 
     def test_float32_default_pipeline(self):
         p = parameter(np.ones((2, 2)), dtype="float32")
@@ -507,6 +733,16 @@ class TestLifetime:
         assert keep.dtype == np.bool_ and keep.nbytes == probs.size
         keep = self._saved(dropout(q, 0.1, gen), "keep")
         assert keep.dtype == np.bool_ and keep.nbytes == q.size
+
+    def test_cross_entropy_and_gelu_closures_each_hold_one_full_size_array(self):
+        gen = np.random.default_rng(5)
+        x = parameter(gen.normal(size=(6, 50)))
+        for out in (cross_entropy(x, gen.integers(0, 50, size=6)), gelu(x)):
+            held = [cell.cell_contents for cell in out._node.bwd.__closure__
+                    if isinstance(cell.cell_contents, np.ndarray)
+                    and cell.cell_contents.size >= x.size]
+            assert len(held) == 1
+            assert held[0].dtype == x.dtype and not np.shares_memory(held[0], x.data)
 
     def test_frozen_weight_matmul_input_dies_when_caller_drops_it(self):
         gen = np.random.default_rng(4)

@@ -85,6 +85,17 @@ class TestVocab:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
             Vocab.load(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ("\n".join(SPECIALS).encode() + b"\ncaf\xe9\n", "can't decode byte 0xe9"),
+    ], ids=["missing", "not-utf8"])
+    def test_unreadable_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "vocab.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+            Vocab.load(path)
+
 
 class TestBuildVocab:
     def test_frequency_order(self):
