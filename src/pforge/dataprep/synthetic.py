@@ -6,14 +6,85 @@ keywords, and a labeled pool whose documents carry keywords of their class
 at a configurable injection rate. The class signal therefore lives in
 domain vocabulary that the general corpus never contains, which is what
 gives domain adaptation something to learn.
+
+Every draw comes from the raw 64-bit words of the corpus's own Philox
+stream, read in blocks, and each value is derived from them exactly as
+numpy's ``Generator`` derives it from a fresh generator:
+
+- ``random()`` is ``(w >> 11) * 2**-53`` of the next word;
+- ``integers(lo, hi)`` over n = hi - lo values, 1 <= n <= 2**32, takes
+  32-bit halves of the words, low half first; the high half waits for the
+  next ``integers`` call, across any ``random()`` calls in between. A half
+  x gives ``lo + (x * n >> 32)`` unless the low 32 bits of ``x * n`` fall
+  below ``(2**32 - n) % n``, in which case the next half is tried
+  (Lemire's method, arXiv 1805.10941). n = 1 gives lo and takes no bits.
+
+numpy keeps the raw words of a seeded bit generator stable, not the
+methods of ``Generator`` (NEP 19), so the corpora depend on the former
+only; ``Generator`` is the tests' oracle for this derivation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
+
+import numpy as np
 
 from ..numerics import Rng, STREAM_SAMPLING
 from ..textdata import Document
+
+
+# raw words fetched per block: enough to amortise the call, few enough that
+# the block's Python ints do not show in peak memory
+_BLOCK_WORDS = 512
+_MASK32 = (1 << 32) - 1
+_DOUBLE_UNIT = 2.0 ** -53
+
+
+def _raw_words(bits: np.random.BitGenerator):
+    while True:
+        yield from bits.random_raw(_BLOCK_WORDS).tolist()
+
+
+class _Draws:
+    """``random()`` and ``integers(lo, hi)`` of a fresh ``Generator`` on gen's
+    bit generator, derived from its raw words (see the module docstring).
+
+    It reads words ahead in blocks, so gen must not be drawn from elsewhere.
+    """
+
+    __slots__ = ("_next_word", "_half")
+
+    def __init__(self, gen: np.random.Generator):
+        self._next_word = _raw_words(gen.bit_generator).__next__
+        self._half = None  # the high half of a word whose low half was used
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * _DOUBLE_UNIT
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next_word()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def integers(self, lo: int, hi: int) -> int:
+        """A uniform int in [lo, hi), for 1 <= hi - lo <= 2**32."""
+        n = hi - lo
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers needs 1 <= hi - lo <= 2**32, got {lo}, {hi}")
+        if n == 1:
+            return lo
+        m = self._uint32() * n
+        if m & _MASK32 < n:
+            threshold = ((1 << 32) - n) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return lo + (m >> 32)
 
 
 def _default_keywords() -> tuple[tuple[str, ...], ...]:
@@ -39,6 +110,16 @@ class SyntheticSpec:
     labeled_pool_size: int = 1500
 
     def __post_init__(self):
+        for name in ("num_classes", "filler_vocab_size", "marker_vocab_size",
+                     "doc_len_min", "doc_len_max", "general_size", "domain_size",
+                     "labeled_pool_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("injection_rate", "marker_rate"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if len(self.keywords) != self.num_classes:
@@ -73,56 +154,56 @@ class SyntheticSpec:
         return [f"class{i}" for i in range(self.num_classes)]
 
 
-def _doc_tokens(spec: SyntheticSpec, gen, label: int | None,
+def _doc_tokens(spec: SyntheticSpec, draws: _Draws, label: int | None,
                 fillers: list[str], markers: list[str]) -> list[str]:
     """One document's tokens; fillers and markers are the spec's token lists,
     built once per corpus by the caller."""
-    length = int(gen.integers(spec.doc_len_min, spec.doc_len_max + 1))
+    length = draws.integers(spec.doc_len_min, spec.doc_len_max + 1)
     out = []
     for _ in range(length):
-        r = gen.random()
+        r = draws.random()
         if label is not None and r < spec.injection_rate:
             ks = spec.keywords[label]
-            out.append(ks[int(gen.integers(0, len(ks)))])
+            out.append(ks[draws.integers(0, len(ks))])
         elif label is not None and r < spec.injection_rate + spec.marker_rate:
-            out.append(markers[int(gen.integers(0, len(markers)))])
+            out.append(markers[draws.integers(0, len(markers))])
         else:
-            out.append(fillers[int(gen.integers(0, len(fillers)))])
+            out.append(fillers[draws.integers(0, len(fillers))])
     return out
 
 
 def gen_general(spec: SyntheticSpec, rng: Rng) -> list[Document]:
     """Filler-only documents; zero domain markers or class keywords."""
-    gen = rng.stream(STREAM_SAMPLING).stream("general").generator()
+    draws = _Draws(rng.stream(STREAM_SAMPLING).stream("general").generator())
     fillers = spec.filler_tokens()
     docs = []
     for i in range(spec.general_size):
-        length = int(gen.integers(spec.doc_len_min, spec.doc_len_max + 1))
-        toks = [fillers[int(gen.integers(0, len(fillers)))] for _ in range(length)]
+        length = draws.integers(spec.doc_len_min, spec.doc_len_max + 1)
+        toks = [fillers[draws.integers(0, len(fillers))] for _ in range(length)]
         docs.append(Document(text=" ".join(toks), id=f"gen-{i:06d}"))
     return docs
 
 
 def gen_domain(spec: SyntheticSpec, rng: Rng) -> list[Document]:
     """Unlabeled in-domain documents: filler + markers + mixed keywords."""
-    gen = rng.stream(STREAM_SAMPLING).stream("domain").generator()
+    draws = _Draws(rng.stream(STREAM_SAMPLING).stream("domain").generator())
     fillers, markers = spec.filler_tokens(), spec.marker_tokens()
     docs = []
     for i in range(spec.domain_size):
-        label = int(gen.integers(0, spec.num_classes))
-        toks = _doc_tokens(spec, gen, label, fillers, markers)
+        label = draws.integers(0, spec.num_classes)
+        toks = _doc_tokens(spec, draws, label, fillers, markers)
         docs.append(Document(text=" ".join(toks), id=f"dom-{i:06d}"))
     return docs
 
 
 def gen_labeled_pool(spec: SyntheticSpec, rng: Rng) -> list[Document]:
-    gen = rng.stream(STREAM_SAMPLING).stream("labeled").generator()
+    draws = _Draws(rng.stream(STREAM_SAMPLING).stream("labeled").generator())
     names = spec.class_names()
     fillers, markers = spec.filler_tokens(), spec.marker_tokens()
     docs = []
     for i in range(spec.labeled_pool_size):
-        label = int(gen.integers(0, spec.num_classes))
-        toks = _doc_tokens(spec, gen, label, fillers, markers)
+        label = draws.integers(0, spec.num_classes)
+        toks = _doc_tokens(spec, draws, label, fillers, markers)
         docs.append(Document(text=" ".join(toks), label=names[label],
                              id=f"lab-{i:06d}"))
     return docs

@@ -22,7 +22,7 @@ from pforge.dataprep import (
     parse_stackexchange_xml,
     split_of,
 )
-from pforge.dataprep.synthetic import gen_domain, gen_general, gen_labeled_pool
+from pforge.dataprep.synthetic import _Draws, gen_domain, gen_general, gen_labeled_pool
 from pforge.metrics import PredictionLog, macro_f1
 from pforge.numerics import Rng
 from pforge.textdata import Document, save_jsonl
@@ -432,6 +432,56 @@ class TestSyntheticSpec:
         spec = SyntheticSpec(injection_rate=0.0)
         assert spec.injection_rate == 0.0
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("doc_len_max", 40.5, "an int"),
+        ("doc_len_min", True, "an int"),
+        ("num_classes", 3.0, "an int"),
+        ("general_size", 3.0, "an int"),
+        ("marker_vocab_size", np.int64(40), "an int"),
+        ("injection_rate", "0.1", "a real number"),
+        ("marker_rate", False, "a real number"),
+    ])
+    def test_mistyped_field_is_named(self, name, value, kind):
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
+            SyntheticSpec(**{name: value})
+
+    def test_integer_rates_are_real_numbers(self):
+        assert SyntheticSpec(injection_rate=0, marker_rate=0).marker_rate == 0
+
+
+# ranges of Generator.integers' 32-bit path: n = 1 takes no bits, 2**31 + 1
+# rejects about half its first draws, 2**32 is the widest
+_DRAW_RANGES = (1, 2, 3, 40, 400, 2**31 + 1, 2**32)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 23, 2**64 - 1])
+    def test_matches_a_fresh_generator(self, seed):
+        # a seeded script of interleaved calls, long enough to cross several
+        # blocks of raw words; runs of random() between two integers calls
+        # leave a high half waiting
+        script = np.random.default_rng(seed % 1000)
+        calls = []
+        for _ in range(4000):
+            if script.random() < 0.4:
+                calls.append(None)
+            else:
+                lo = int(script.integers(-5, 6))
+                calls.append((lo, lo + int(script.choice(_DRAW_RANGES))))
+        gen, draws = Rng(seed).generator(), _Draws(Rng(seed).generator())
+        for call in calls:
+            if call is None:
+                want, got = gen.random(), draws.random()
+                assert type(got) is float and got.hex() == want.hex()
+            else:
+                want, got = int(gen.integers(*call)), draws.integers(*call)
+                assert type(got) is int and got == want, call
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (0, 2**32 + 1), (-1, 2**32)])
+    def test_range_outside_32_bits_refused(self, lo, hi):
+        with pytest.raises(ValueError, match=r"1 <= hi - lo <= 2\*\*32"):
+            _Draws(Rng(1).generator()).integers(lo, hi)
+
 
 class TestGenSynthetic:
     def test_deterministic_given_rng(self, tmp_path):
@@ -502,4 +552,26 @@ class TestGenSynthetic:
             "test.jsonl": "0df8a935f693d7cd14be9cba02667f785a5fc0e654d11f05851ec83692bd0aa4",
             "train.jsonl": "62951731fc4a008db2606c5e0f29cb24cd9feab64f847ab62e5f1a4fbeee6835",
             "unlabeled.jsonl": "7f49d5596633e1937e62f581f47dfeac68907e00687a254a6f54b022854b4863",
+        }
+
+    def test_files_keep_their_bytes_on_other_branches(self, tmp_path):
+        # a second pin: documents of 64-111 words, a class with one keyword
+        # and a single marker, where drawing from a range of one value takes
+        # no bits
+        spec = SyntheticSpec(
+            keywords=(("plaintiff",), ("tenant", "landlord", "lease"),
+                      ("visa", "border", "asylum")),
+            marker_vocab_size=1, doc_len_min=64, doc_len_max=111,
+            general_size=20, domain_size=30, labeled_pool_size=60)
+        gen_synthetic(spec, Rng(5), tmp_path / "syn")
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "syn").iterdir()}
+        assert got == {
+            "dev.jsonl": "8370be0fce1110a1fbb7523e6144592209b428becc71ab2b9516edf63ad532b0",
+            "general.jsonl": "98efb9db529fab7062928b98258f4497e7ed42d48af58dfd8339786ad58aaf72",
+            "labels.txt": "711d3ca180e7ba2b19643ed1ec060b9d3825cf2b27c0cc1ee75b84b85a2fa800",
+            "provenance.json": "da0b21e416847c1c6532ce2bcf5f079569a893f3ad2a467353ab97ea2a95565a",
+            "test.jsonl": "7a1020275b220a56c83f6a993c4d2390b8f785fe6e31b881ad414e0cb74db9bd",
+            "train.jsonl": "5bb9bfd162394602ccc7dc512ccc63242024e7f93311f1a8236d5099dbf8d43b",
+            "unlabeled.jsonl": "93fdf3470d1b86ef1c8fb26a227a0e48c38f29ab7afe0ec31535cec8d3ccb0f7",
         }

@@ -14,6 +14,7 @@ _spec.loader.exec_module(same_bits)
 def record(**changes):
     rec = {"quality": {"final_loss": 7.25, "eval_mlm_loss": 7.5},
            "data_digest": "c842ca1779f599cd", "op_calls_per_step": {"gelu": 5, "matmul": 26},
+           "corpus_digests": {"general.jsonl": "319a7d57", "labels.txt": "2929d347"},
            "metrics": {"tensor.loss_ms": {"value": 1.9, "unit": "ms"}},
            "result": {"correct": True, "attempted": 40, "failed": 0}}
     rec.update(changes)
@@ -29,6 +30,7 @@ def test_equal_runs_differ_in_nothing_but_timings():
     ("quality", {"final_loss": 7.250000001, "eval_mlm_loss": 7.5}),
     ("data_digest", "0000000000000000"),
     ("op_calls_per_step", {"gelu": 5, "matmul": 27}),
+    ("corpus_digests", {"general.jsonl": "00000000", "labels.txt": "2929d347"}),
 ])
 def test_each_compared_field_is_reported(field, value):
     found = same_bits.differences(record(), record(**{field: value}))

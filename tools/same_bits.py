@@ -4,17 +4,21 @@
 
 Extracts REF with ``git archive`` into a temporary directory and runs
 ``bench/run.py --seconds 0 --trace 1`` for every workload in BENCHMARK.json
-at seeds 1 and 23, there and in the work tree. Prints every difference in
-the quality numbers, ``data_digest`` and ``op_calls_per_step``, and every
-run that was not ``correct`` or had a failed operation. Exits 1 on any of
-them, 0 when every pair matches. ``REF`` = ``HEAD`` checks the committed
-tree against itself, or the work tree's uncommitted edits against it.
+at seeds 1 and 23, there and in the work tree. For the same workloads and
+seeds it also hashes every file ``gen_synthetic`` writes for the workload's
+spec, because ``data_digest`` covers only the encoded train and eval ids.
+Prints every difference in the quality numbers, ``data_digest``,
+``op_calls_per_step`` and these ``corpus_digests``, and every run that was
+not ``correct`` or had a failed operation. Exits 1 on any of them, 0 when
+every pair matches. ``REF`` = ``HEAD`` checks the committed tree against
+itself, or the work tree's uncommitted edits against it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -24,7 +28,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 23)
 # the fields of a run's record that repeat exactly per seed
-COMPARED = ("quality", "data_digest", "op_calls_per_step")
+COMPARED = ("quality", "data_digest", "op_calls_per_step", "corpus_digests")
+# prints the sha256 of every file gen_synthetic writes for WORKLOADS[argv[1]]
+# at Rng(argv[2]); run in a tree's root, it uses only names both trees have
+CORPUS_DIGESTS = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from bench.workloads import WORKLOADS
+from pforge.dataprep import gen_synthetic
+from pforge.numerics import Rng
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "data"
+    gen_synthetic(WORKLOADS[sys.argv[1]].spec, Rng(int(sys.argv[2])), out)
+    print(json.dumps({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in sorted(out.iterdir())}))
+"""
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -38,7 +56,8 @@ def extract(ref: str, dest: Path) -> None:
 
 
 def bench(root: Path, workload: str, seed: int) -> dict:
-    """One ``--seconds 0 --trace 1`` run in root: its record and result lines."""
+    """One ``--seconds 0 --trace 1`` run in root: its record and result lines,
+    plus the workload's corpus digests."""
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", "0", "--trace", "1"],
@@ -49,7 +68,20 @@ def bench(root: Path, workload: str, seed: int) -> dict:
                            f"(exit {proc.returncode}): {proc.stderr.strip()}")
     record = json.loads(lines[-2])
     record["result"] = json.loads(lines[-1])
+    record["corpus_digests"] = corpus_digests(root, workload, seed)
     return record
+
+
+def corpus_digests(root: Path, workload: str, seed: int) -> dict:
+    """sha256 of every file gen_synthetic writes for the workload in root."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CORPUS_DIGESTS, workload, str(seed)], cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: {workload} seed {seed} corpus digests failed "
+                           f"(exit {proc.returncode}): {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
 
 
 def differences(ref: dict, work: dict) -> list[str]:
