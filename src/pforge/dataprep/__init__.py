@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .. import DataError
+from .. import DataError, read_text
 from ..numerics import Rng
 from ..textdata import Document, load_jsonl, save_jsonl
 from .htmlmd import html_to_markdown
@@ -85,11 +85,18 @@ class DatasetManifest:
         return self.root / "unlabeled.jsonl"
 
     def labels(self) -> list[str]:
-        try:
-            lines = self.labels_path.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {self.labels_path}: {exc}") from exc
-        return [line for line in lines if line]
+        """labels.txt's lines: line n names class n - 1, so a blank or
+        repeated line is refused rather than skipped."""
+        labels = read_text(self.labels_path).splitlines()
+        first_line: dict[str, int] = {}
+        for lineno, label in enumerate(labels, start=1):
+            if not label:
+                raise DataError(f"{self.labels_path}:{lineno}: blank label")
+            if label in first_line:
+                raise DataError(f"{self.labels_path}:{lineno}: label {label!r} repeats "
+                                f"line {first_line[label]}")
+            first_line[label] = lineno
+        return labels
 
     def label_map(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels())}
@@ -262,14 +269,9 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
     Expected fields per line: title, facts (list of strings),
     violated_articles (list of strings), optional id.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     docs = []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

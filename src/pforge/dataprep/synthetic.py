@@ -27,10 +27,10 @@ only; ``Generator`` is the tests' oracle for this derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
+from .. import check_fields
 from ..numerics import Rng, STREAM_SAMPLING
 from ..textdata import Document
 
@@ -110,24 +110,24 @@ class SyntheticSpec:
     labeled_pool_size: int = 1500
 
     def __post_init__(self):
-        for name in ("num_classes", "filler_vocab_size", "marker_vocab_size",
-                     "doc_len_min", "doc_len_max", "general_size", "domain_size",
-                     "labeled_pool_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("injection_rate", "marker_rate"):
-            value = getattr(self, name)
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        check_fields(self)
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
+        if not isinstance(self.keywords, tuple):
+            raise ValueError(f"keywords must be a tuple, got {self.keywords!r}")
         if len(self.keywords) != self.num_classes:
             raise ValueError(
                 f"{len(self.keywords)} keyword lists for {self.num_classes} classes"
             )
-        if any(not ks for ks in self.keywords):
-            raise ValueError("every class needs at least one keyword")
+        for c, ks in enumerate(self.keywords):
+            if not isinstance(ks, tuple) or not ks:
+                raise ValueError(f"keywords of class {c} must be a non-empty tuple, "
+                                 f"got {ks!r}")
+            # documents are space-joined tokens, so a keyword is one token
+            for k in ks:
+                if not isinstance(k, str) or k.split() != [k]:
+                    raise ValueError(f"keywords of class {c} must be non-empty str "
+                                     f"without whitespace, got {k!r}")
         flat = [k for ks in self.keywords for k in ks]
         if len(set(flat)) != len(flat):
             raise ValueError("keyword lists must be disjoint across classes")
@@ -154,7 +154,7 @@ class SyntheticSpec:
         return [f"class{i}" for i in range(self.num_classes)]
 
 
-def _doc_tokens(spec: SyntheticSpec, draws: _Draws, label: int | None,
+def _doc_tokens(spec: SyntheticSpec, draws: _Draws, label: int,
                 fillers: list[str], markers: list[str]) -> list[str]:
     """One document's tokens; fillers and markers are the spec's token lists,
     built once per corpus by the caller."""
@@ -162,10 +162,10 @@ def _doc_tokens(spec: SyntheticSpec, draws: _Draws, label: int | None,
     out = []
     for _ in range(length):
         r = draws.random()
-        if label is not None and r < spec.injection_rate:
+        if r < spec.injection_rate:
             ks = spec.keywords[label]
             out.append(ks[draws.integers(0, len(ks))])
-        elif label is not None and r < spec.injection_rate + spec.marker_rate:
+        elif r < spec.injection_rate + spec.marker_rate:
             out.append(markers[draws.integers(0, len(markers))])
         else:
             out.append(fillers[draws.integers(0, len(fillers))])

@@ -17,12 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from . import check_fields, field_kinds, read_text
 
 
 @dataclass
@@ -134,12 +135,13 @@ def format_mean_std(mean: float, std: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-_REQUIRED_COLUMNS = ("method", "dataset", "fewshot_size")
-
-
 @dataclass
 class MetricsRow:
-    """One run: a (method, dataset, fewshot_size, seed) cell of the protocol."""
+    """One run: a (method, dataset, fewshot_size, seed) cell of the protocol.
+
+    Every field must survive the metrics.csv round trip unchanged, so each
+    is annotated int, float or str, alone or ``| None``.
+    """
 
     method: str
     dataset: str
@@ -153,37 +155,18 @@ class MetricsRow:
     failure: str | None = None
 
     def __post_init__(self):
-        # every field must survive the metrics.csv round trip unchanged
-        for name in ("method", "dataset", "checkpoint_path", "failure"):
-            value = getattr(self, name)
-            if value is None and name not in _REQUIRED_COLUMNS:
-                continue
-            if not isinstance(value, str) or not value:
-                raise ValueError(f"{name} must be a non-empty str, got {value!r}")
-        for name in ("fewshot_size", "seed", "steps_to_threshold"):
-            value = getattr(self, name)
-            if value is None and name not in _REQUIRED_COLUMNS:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        lr = self.lr
-        if lr is not None and (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-                               or not (math.isfinite(lr) and lr > 0)):
-            raise ValueError(f"lr must be a finite positive number, got {lr!r}")
+        check_fields(self)
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
         for name in ("macro_f1", "ece"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
             # written so that NaN fails the range test too
-            if not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 _CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
-_INT_COLUMNS = ("fewshot_size", "seed", "steps_to_threshold")
-_FLOAT_COLUMNS = ("lr", "macro_f1", "ece")
+_CSV_KINDS = {name: (kind, optional) for name, kind, optional in field_kinds(MetricsRow)}
 
 
 def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
@@ -199,7 +182,7 @@ def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
             value = getattr(row, col)
             if value is None:
                 record[col] = ""
-            elif col in _FLOAT_COLUMNS:
+            elif _CSV_KINDS[col][0] is float:
                 record[col] = repr(float(value))
             else:
                 record[col] = str(value)
@@ -208,36 +191,29 @@ def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
+    """Rows written by ``write_metrics_csv``; each cell is parsed by its
+    field's annotation, and an empty cell is None where that allows it."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"{path}: missing columns {sorted(missing)}")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8: {exc}") from exc
-        reader = csv.DictReader(lines)
-        missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for rec in reader:
-            kwargs = {}
-            for col in _CSV_COLUMNS:
-                raw = rec[col]
-                try:
-                    if raw == "" and col not in _REQUIRED_COLUMNS:
-                        kwargs[col] = None
-                    elif col in _INT_COLUMNS:
-                        kwargs[col] = int(raw)
-                    elif col in _FLOAT_COLUMNS:
-                        kwargs[col] = float(raw)
-                    else:
-                        kwargs[col] = raw
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{reader.line_num}: column {col!r}: "
-                                     f"{exc}") from exc
+    for rec in reader:
+        # DictReader files surplus cells under None and fills missing ones with None
+        if None in rec or None in rec.values():
+            raise ValueError(f"{path}:{reader.line_num}: cell count differs from the header's")
+        kwargs = {}
+        for col in _CSV_COLUMNS:
+            kind, optional = _CSV_KINDS[col]
             try:
-                rows.append(MetricsRow(**kwargs))
+                kwargs[col] = None if rec[col] == "" and optional else kind(rec[col])
             except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+                raise ValueError(f"{path}:{reader.line_num}: column {col!r}: "
+                                 f"{exc}") from exc
+        try:
+            rows.append(MetricsRow(**kwargs))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
 
 

@@ -32,10 +32,10 @@ import hashlib
 import json
 from copy import deepcopy
 from dataclasses import dataclass, asdict
-from numbers import Real
 
 import numpy as np
 
+from . import check_fields
 from .numerics import (
     NEG_INF,
     Rng,
@@ -93,17 +93,11 @@ class ModelConfig:
     precision: str = "float32"
 
     def __post_init__(self):
-        dims = ("num_layers", "d_model", "num_heads", "ffn_dim", "vocab_size",
-                "max_positions")
-        for name in dims + ("prefix_length",):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in dims:
+        check_fields(self)
+        for name in ("num_layers", "d_model", "num_heads", "ffn_dim", "vocab_size",
+                     "max_positions"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not isinstance(self.dropout, Real) or isinstance(self.dropout, bool):
-            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if self.prefix_length < 0:
             raise ValueError("prefix_length must be >= 0")
         if self.d_model % self.num_heads:

@@ -8,10 +8,11 @@ in which other streams are consumed. Bits come from numpy's Philox
 counter-based generator keyed via SeedSequence.
 
 numpy keeps the raw 64-bit words of a seeded bit generator stable across
-platforms and versions, and the synthetic corpora are derived from those
-words alone. It does not keep the methods of ``Generator`` stable (NEP 19:
-"as better algorithms evolve the bit stream may change"); weight init,
-dropout, MLM masking and the benchmark's sampling still draw through them.
+platforms and versions, and the synthetic corpora and dropout masks are
+derived from those words alone. It does not keep the methods of
+``Generator`` stable (NEP 19: "as better algorithms evolve the bit stream
+may change"); weight init, MLM masking and the benchmark's sampling still
+draw through them.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import DataError
+from . import DataError, read_text
 from .model import ModelConfig
 from .numerics import IGNORE_INDEX, Rng
 
@@ -44,6 +44,10 @@ class Vocab:
             raise ValueError(f"vocab must start with specials {SPECIALS}")
         if any(not t for t in tokens):
             raise ValueError("empty token in vocab")
+        # save writes one token per line and load splits with str.splitlines
+        bad = [t for t in tokens if not isinstance(t, str) or t.splitlines() != [t]]
+        if bad:
+            raise ValueError(f"vocab tokens that are not one line of text: {bad[:5]}")
         self._tokens = tokens
         self._index = {t: i for i, t in enumerate(tokens)}
         if len(self._index) != len(tokens):
@@ -70,11 +74,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        lines = read_text(path).splitlines()
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
             return cls(lines)
-        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-            raise ValueError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_vocab(texts: Iterable[str], max_size: int = 50000) -> Vocab:
@@ -225,16 +229,10 @@ def load_jsonl(path: str | Path) -> list[Document]:
     Malformed lines are logged with their line numbers; more than 1% of
     non-blank lines malformed aborts the load.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
     docs: list[Document] = []
     bad: list[int] = []
     n_lines = 0
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             log.warning("%s:%d: blank line skipped", path, lineno)
             continue

@@ -154,6 +154,12 @@ class TestCleanEchr:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: case id 'A' repeats line 1")):
             build_echr(path, tmp_path / "echr")
 
+    def test_build_echr_names_a_non_utf8_file(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_bytes(b'{"title": "caf\xe9", "facts": ["a fact"]}\n')
+        with pytest.raises(DataError, match=re.escape(f"cannot read {path}: not UTF-8")):
+            build_echr(path, tmp_path / "echr")
+
 
 def reddit_dump(n: int = 200) -> list[RawPost]:
     """Synthetic dump: 13 flairs with distinct frequencies, some unflaired."""
@@ -410,6 +416,19 @@ class TestDatasetManifestValidation:
                 f"cannot read {manifest.labels_path}: ") + f".*{why}"):
             getattr(manifest, call)()
 
+    # line n names class n - 1, so neither line may be skipped or merged
+    @pytest.mark.parametrize("labels, why", [
+        (b"a\n\nb\n", "2: blank label"),
+        (b"a\nb\n\n", "3: blank label"),
+        (b"a\na\nb\n", "2: label 'a' repeats line 1"),
+        (b"a\r\nb\r\na\r\n", "3: label 'a' repeats line 1"),
+    ])
+    @pytest.mark.parametrize("call", ["labels", "label_map", "validate"])
+    def test_blank_or_repeated_label_names_its_line(self, tmp_path, labels, why, call):
+        manifest = self._manifest_with_labels(tmp_path, labels)
+        with pytest.raises(DataError, match=re.escape(f"{manifest.labels_path}:{why}")):
+            getattr(manifest, call)()
+
 
 class TestSyntheticSpec:
     def test_overlapping_keywords_rejected(self):
@@ -427,6 +446,24 @@ class TestSyntheticSpec:
     def test_keyword_list_count_must_match_classes(self):
         with pytest.raises(ValueError, match="keyword lists"):
             SyntheticSpec(num_classes=4)
+
+    @pytest.mark.parametrize("keywords, message", [
+        (("ab", "cd", "ef"), "keywords of class 0 must be a non-empty tuple, got 'ab'"),
+        ([("a",), ("b",), ("c",)], "keywords must be a tuple, got [("),
+        ((("a",), ["b"], ("c",)), "keywords of class 1 must be a non-empty tuple, got ['b']"),
+        ((("a",), (), ("c",)), "keywords of class 1 must be a non-empty tuple, got ()"),
+        ((("a",), ("b",), (3,)), "keywords of class 2 must be non-empty str without "
+                                 "whitespace, got 3"),
+        ((("a b",), ("c",), ("d",)), "keywords of class 0 must be non-empty str without "
+                                     "whitespace, got 'a b'"),
+        ((("a",), ("b", ""), ("c",)), "keywords of class 1 must be non-empty str without "
+                                      "whitespace, got ''"),
+        ((("a",), ("b",), ("c\n",)), "keywords of class 2 must be non-empty str without "
+                                      "whitespace, got 'c\\n'"),
+    ])
+    def test_malformed_keywords_name_the_class(self, keywords, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SyntheticSpec(keywords=keywords)
 
     def test_zero_injection_allowed(self):
         spec = SyntheticSpec(injection_rate=0.0)

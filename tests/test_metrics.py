@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from pforge import DataError
 from pforge.metrics import (
     Curve,
     MetricsRow,
@@ -392,6 +393,9 @@ class TestMetricsTableCsv:
                        lr=5e-4, macro_f1=0.5477, ece=0.09),
             MetricsRow(method="pt2", dataset="synthetic", fewshot_size=64, seed=20,
                        failure="diverged"),
+            # newline translation on read would turn these into "\n"
+            MetricsRow(method="pt2", dataset="synthetic", fewshot_size=64, seed=21,
+                       failure="diverged:\r\nstep 3\rloss nan"),
         ]
         path = tmp_path / "m.csv"
         write_metrics_csv(path, rows)
@@ -410,6 +414,22 @@ class TestMetricsTableCsv:
         write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8)])
         path.write_bytes(path.read_bytes().replace(b"synthetic", b"caf\xe9"))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8")):
+            read_metrics_csv(path)
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError, match=re.escape(f"cannot read {path}: ")):
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize("edit", [lambda cells: cells[:-1], lambda cells: cells + ["x"]],
+                             ids=["short", "long"])
+    def test_row_of_wrong_length_names_path_and_line(self, tmp_path, edit):
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8,
+                                            failure="diverged")])
+        header, row = path.read_text().splitlines()
+        path.write_text(header + "\n" + ",".join(edit(row.split(","))) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: cell count differs")):
             read_metrics_csv(path)
 
     def test_missing_columns_rejected(self, tmp_path):

@@ -66,6 +66,16 @@ class TestVocab:
         with pytest.raises(ValueError, match="empty"):
             Vocab(SPECIALS + ("a", ""))
 
+    # every line boundary str.splitlines knows, which save/load could not
+    # round-trip, and a token that is not text at all
+    @pytest.mark.parametrize("token", [
+        *(f"c{brk}d" for brk in ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029")),
+        3])
+    def test_token_not_one_line_of_text_rejected(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"not one line of text: [{token!r}]")):
+            Vocab(SPECIALS + ("a b", token))
+
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "vocab.txt"
         VOCAB.save(path)
