@@ -8,12 +8,18 @@ domain adaptation, and plain prefix tuning as baselines.
 Bad input is refused in one way: a ``ValueError`` naming its file or field.
 ``read_text`` reads every text file, ``check_fields`` checks the int, real
 and str fields of the records, and ``DataError`` is a ``ValueError``.
+
+Files are written in one way, whole or not at all: ``write_file`` writes
+every file through a temporary file renamed over the target once complete,
+and ``write_text`` writes UTF-8 text through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import numbers
+import os
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -38,6 +44,32 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8: {exc}") from exc
+
+
+@contextlib.contextmanager
+def write_file(path: str | Path) -> typing.Iterator[typing.BinaryIO]:
+    """A binary handle on a new temporary file beside ``path``, renamed over
+    ``path`` when the block ends and deleted if it raises. Parent directories
+    are created, and the file gets the mode a plain ``open`` gives: 0o666
+    less the umask. Nothing is synced: this guards against a failed or
+    interrupted process, not a power cut."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through ``write_file``, with no newline translation."""
+    with write_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # the refusal for each checked annotation, and what it accepts besides bools

@@ -5,7 +5,8 @@ A checkpoint is an uncompressed zip in numpy's ``.npz`` layout, so
 metadata (kind, model config, config fingerprint, extra keys) and each tensor
 is a ``<name>.npy`` member of little-endian float32 in C order, whatever its
 in-memory dtype. The fingerprint lets a later load refuse tensors produced
-under an incompatible ModelConfig.
+under an incompatible ModelConfig. Files are written through pforge's
+``write_file``, so a save replaces the old file whole or not at all.
 
 ``load_tensors`` checks the archive before it reads tensor bytes: members are
 stored uncompressed and unencrypted, their sizes add up to no more than the
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import zipfile
 from dataclasses import asdict, fields
 from functools import partial
@@ -35,6 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy
 
+from . import write_file
 from .model import ClassificationHead, EncoderWeights, ModelConfig, ParamGroup, PrefixSet
 from .numerics import Rng, Tensor
 
@@ -45,26 +45,16 @@ _KINDS = {EncoderWeights: "encoder", PrefixSet: "prefix", ClassificationHead: "h
 
 def save_tensors(path: str | Path, tensors: dict[str, Tensor | np.ndarray],
                  metadata: dict) -> None:
-    """Write a checkpoint atomically (tmp file + rename)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
-            # ZipInfo(name) carries a fixed 1980 timestamp, so equal inputs give equal bytes
-            zf.writestr(zipfile.ZipInfo(_META), json.dumps(metadata, sort_keys=True))
-            for name, t in tensors.items():
-                if not name:
-                    raise ValueError("empty tensor name")
-                arr = np.asarray(t.data if isinstance(t, Tensor) else t,
-                                 dtype="<f4", order="C")
-                with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
-                    npy.write_array(member, arr, version=(1, 0), allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write a checkpoint through ``write_file``: whole or not at all."""
+    with write_file(path) as fh, zipfile.ZipFile(fh, "w") as zf:
+        # ZipInfo(name) carries a fixed 1980 timestamp, so equal inputs give equal bytes
+        zf.writestr(zipfile.ZipInfo(_META), json.dumps(metadata, sort_keys=True))
+        for name, t in tensors.items():
+            if not name:
+                raise ValueError("empty tensor name")
+            arr = np.asarray(t.data if isinstance(t, Tensor) else t, dtype="<f4", order="C")
+            with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
+                npy.write_array(member, arr, version=(1, 0), allow_pickle=False)
 
 
 def _read_npy(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:

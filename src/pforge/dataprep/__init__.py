@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .. import DataError, read_text
+from .. import DataError, read_text, write_text
 from ..numerics import Rng
 from ..textdata import Document, load_jsonl, save_jsonl
 from .htmlmd import html_to_markdown
@@ -37,8 +36,6 @@ __all__ = [
     "keyword_count_labels", "parse_stackexchange_xml", "split_of",
 ]
 
-log = logging.getLogger(__name__)
-
 SPLIT_BOUNDS = (("train", 0.7), ("dev", 0.8), ("test", 1.0))
 
 
@@ -50,6 +47,10 @@ class RawPost:
     tags: tuple[str, ...] = ()
     flair: str | None = None
     created: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.tags, tuple) or not all(isinstance(t, str) for t in self.tags):
+            raise ValueError(f"tags must be a tuple of str, got {self.tags!r:.60}")
 
 
 def split_of(dataset: str, doc_id: str) -> str:
@@ -88,14 +89,7 @@ class DatasetManifest:
         """labels.txt's lines: line n names class n - 1, so a blank or
         repeated line is refused rather than skipped."""
         labels = read_text(self.labels_path).splitlines()
-        first_line: dict[str, int] = {}
-        for lineno, label in enumerate(labels, start=1):
-            if not label:
-                raise DataError(f"{self.labels_path}:{lineno}: blank label")
-            if label in first_line:
-                raise DataError(f"{self.labels_path}:{lineno}: label {label!r} repeats "
-                                f"line {first_line[label]}")
-            first_line[label] = lineno
+        self._check({}, labels)
         return labels
 
     def label_map(self) -> dict[str, int]:
@@ -109,11 +103,27 @@ class DatasetManifest:
 
     def validate(self) -> None:
         """Invariants: labels cover every split, split ids disjoint."""
-        known = set(self.labels())
+        self._check({name: self.load_split(name) for name in self.SPLITS}, self.labels())
+
+    def _check(self, splits: dict[str, list[Document]], labels: list[str]) -> None:
+        """Refuse labels that labels.txt cannot give back as they are (blank,
+        not one line, repeated), a split label missing from them, and an id
+        in two splits, naming the file each would be read from."""
+        first_line: dict[str, int] = {}
+        for lineno, label in enumerate(labels, start=1):
+            if label == "":
+                raise DataError(f"{self.labels_path}:{lineno}: blank label")
+            if not isinstance(label, str) or label.splitlines() != [label]:
+                raise DataError(f"{self.labels_path}:{lineno}: label {label!r} is not "
+                                "one line of text")
+            if label in first_line:
+                raise DataError(f"{self.labels_path}:{lineno}: label {label!r} repeats "
+                                f"line {first_line[label]}")
+            first_line[label] = lineno
         seen: dict[str, str] = {}
         for split in self.SPLITS:
-            for doc in self.load_split(split):
-                if doc.label is not None and doc.label not in known:
+            for doc in splits.get(split, []):
+                if doc.label is not None and doc.label not in first_line:
                     raise DataError(f"{self.split_path(split)}: label {doc.label!r} "
                                     "missing from labels.txt")
                 if doc.id is not None:
@@ -127,17 +137,16 @@ class DatasetManifest:
     def write(cls, root: str | Path, splits: dict[str, list[Document]],
               labels: list[str], unlabeled: list[Document],
               provenance: dict) -> "DatasetManifest":
+        """Check the splits and labels as ``validate`` would read them back,
+        then write the directory's files."""
         manifest = cls(root)
-        manifest.root.mkdir(parents=True, exist_ok=True)
+        manifest._check(splits, labels)
         for name in cls.SPLITS:
             save_jsonl(manifest.split_path(name), splits.get(name, []))
-        manifest.labels_path.write_text(
-            "".join(f"{label}\n" for label in labels), encoding="utf-8")
+        write_text(manifest.labels_path, "".join(f"{label}\n" for label in labels))
         save_jsonl(manifest.unlabeled_path, unlabeled)
-        (manifest.root / "provenance.json").write_text(
-            json.dumps(provenance, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        manifest.validate()
+        write_text(manifest.root / "provenance.json",
+                   json.dumps(provenance, indent=2, sort_keys=True) + "\n")
         return manifest
 
 
@@ -233,8 +242,9 @@ def build_lse(posts: list[RawPost], out_dir: str | Path,
     labeled set keeps single-tag posts whose tag ranks in the top k. Bodies
     are HTML and get converted to Markdown everywhere.
     """
-    if country_tags is None:
-        raise DataError("build_lse requires a country-tag exclusion list")
+    if country_tags is None or isinstance(country_tags, str):
+        raise DataError(f"build_lse requires country_tags, a set or list of tags to "
+                        f"exclude; got {country_tags!r}")
     country = set(country_tags)
     return _build_top_k(
         "lse", posts, out_dir, k_tags, "non-country tags",

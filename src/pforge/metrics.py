@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import check_fields, field_kinds, read_text
+from . import check_fields, field_kinds, read_text, write_text
 
 
 @dataclass
@@ -171,8 +171,10 @@ _CSV_KINDS = {name: (kind, optional) for name, kind, optional in field_kinds(Met
 
 def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
     """One line per run; floats as repr (exact round trip), None as an empty cell."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    write_text(path, _metrics_csv(rows))
+
+
+def _metrics_csv(rows: Sequence[MetricsRow]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -187,7 +189,7 @@ def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
             else:
                 record[col] = str(value)
         writer.writerow(record)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return buf.getvalue()
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
@@ -236,15 +238,17 @@ class Curve:
 
 
 def write_curve_csv(path: str | Path, curves: Sequence[Curve]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    write_text(path, _curve_csv(curves))
+
+
+def _curve_csv(curves: Sequence[Curve]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "step", "value"])
     for curve in curves:
         for s, v in zip(curve.steps, curve.values):
             writer.writerow([curve.name, repr(float(s)), repr(float(v))])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return buf.getvalue()
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -378,7 +382,8 @@ def render_markdown_table(rows: Sequence[MetricsRow], dataset: str) -> str:
 
 def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
                   curves: dict[str, list[Curve]] | None = None) -> Path:
-    """Write report.md, metrics.csv and, for each curve set, an SVG and a CSV.
+    """Write metrics.csv, an SVG and a CSV for each curve set, and report.md,
+    each file's text built before the first is written.
 
     Returns the path of the Markdown report. Outputs are deterministic
     functions of the inputs; every mean and std is computed from the rows.
@@ -386,9 +391,7 @@ def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
     if not rows:
         raise ValueError("empty metrics table")
     cells = _cells(rows)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", rows)
+    files = {"metrics.csv": _metrics_csv(rows)}
     lines = ["# Results", "",
              "Macro F1 (percent), mean over seeds with population-std subscripts.",
              ""]
@@ -405,11 +408,12 @@ def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
     if curves:
         lines += ["## Curves", ""]
         for name in sorted(curves):
-            svg = render_curve_svg(curves[name], title=name)
-            (out_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
-            write_curve_csv(out_dir / f"{name}.csv", curves[name])
+            files[f"{name}.svg"] = render_curve_svg(curves[name], title=name)
+            files[f"{name}.csv"] = _curve_csv(curves[name])
             lines.append(f"![{name}]({name}.svg)")
         lines.append("")
-    report = out_dir / "report.md"
-    report.write_text("\n".join(lines), encoding="utf-8")
-    return report
+    files["report.md"] = "\n".join(lines)
+    out_dir = Path(out_dir)
+    for name, text in files.items():
+        write_text(out_dir / name, text)
+    return out_dir / "report.md"

@@ -309,6 +309,19 @@ class TestBuildLse:
         with pytest.raises(DataError, match="country"):
             build_lse(lse_dump(), tmp_path / "lse", country_tags=None)
 
+    def test_country_tags_as_one_str_rejected(self, tmp_path):
+        # set("usa") would be {"u", "s", "a"} and exclude nothing
+        with pytest.raises(DataError, match="country_tags, a set or list .*; got 'usa'"):
+            build_lse(lse_dump(), tmp_path / "lse", country_tags="usa")
+        assert not (tmp_path / "lse").exists()
+
+    # a str would be read as one tag per letter
+    @pytest.mark.parametrize("tags", ["tax", ["tax"], ("tax", 3)])
+    def test_raw_post_tags_must_be_a_tuple_of_str(self, tags):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"tags must be a tuple of str, got {tags!r}")):
+            RawPost(id="1", title="t", body="b", tags=tags)
+
 
 class TestStackExchangeXml:
     XML = """<?xml version="1.0" encoding="utf-8"?>
@@ -395,6 +408,22 @@ class TestDatasetManifestValidation:
                 f"appears in both {root / 'train.jsonl'} and {root / 'dev.jsonl'}")):
             DatasetManifest(root).validate()
 
+    @pytest.mark.parametrize("splits, labels, message", [
+        ({"train": [Document(text="x", label="z", id="1")]}, ["a"],
+         "train.jsonl: label 'z' missing from labels.txt"),
+        ({"train": [Document(text="x", label="a", id="1")],
+          "test": [Document(text="y", label="a", id="1")]}, ["a"],
+         "id '1' appears in both"),
+        ({}, ["a", ""], "labels.txt:2: blank label"),
+        ({}, ["a", "b\u2028c"], r"labels.txt:2: label 'b\u2028c' is not one line of text"),
+        ({}, ["a", 3], "labels.txt:2: label 3 is not one line of text"),
+        ({}, ["a", "b", "a"], "labels.txt:3: label 'a' repeats line 1"),
+    ], ids=["unknown-label", "cross-split-id", "blank", "two-lines", "not-str", "repeated"])
+    def test_write_refuses_before_writing_any_file(self, tmp_path, splits, labels, message):
+        root = tmp_path / "ds"
+        with pytest.raises(DataError, match=re.escape(message)):
+            DatasetManifest.write(root, splits, labels, [], {})
+        assert not root.exists()
 
     @staticmethod
     def _manifest_with_labels(tmp_path, labels: bytes | None):

@@ -291,6 +291,11 @@ class TestRendering:
             render_report(rows, tmp_path)
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_curve_set_without_points_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="no points to plot"):
+            render_report(runs("ft", 32, 0.5), tmp_path / "out", {"loss": []})
+        assert not (tmp_path / "out").exists()
+
     def test_report_writes_md_and_csv(self, tmp_path):
         rows = [MetricsRow(method="pt2", dataset="synthetic", fewshot_size=32,
                            seed=10, lr=0.02, macro_f1=0.61, ece=0.12)]
