@@ -174,7 +174,7 @@ def load_group(cls: type, path: str | Path, expect: ModelConfig | None = None
     config = _read_config(metadata, _KINDS[cls], expect, path)
     group = _implied_group(cls, config, arrays, path)
     for name, slot in group.named_tensors().items():
-        slot.data = arrays[name].astype(slot.dtype)
+        slot.data = arrays[name].astype(slot.dtype, copy=False)
     return group, metadata
 
 

@@ -281,7 +281,8 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
     """
     docs = []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    # lines end at "\n" alone, as in load_jsonl: a raw U+2028 is text
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:

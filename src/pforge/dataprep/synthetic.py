@@ -97,7 +97,6 @@ def _default_keywords() -> tuple[tuple[str, ...], ...]:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_classes: int = 3
     keywords: tuple[tuple[str, ...], ...] = field(default_factory=_default_keywords)
     filler_vocab_size: int = 400
     marker_vocab_size: int = 40
@@ -111,14 +110,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
         if not isinstance(self.keywords, tuple):
             raise ValueError(f"keywords must be a tuple, got {self.keywords!r}")
-        if len(self.keywords) != self.num_classes:
-            raise ValueError(
-                f"{len(self.keywords)} keyword lists for {self.num_classes} classes"
-            )
+        if len(self.keywords) < 2:
+            raise ValueError(f"need at least 2 classes, got {len(self.keywords)} keyword lists")
         for c, ks in enumerate(self.keywords):
             if not isinstance(ks, tuple) or not ks:
                 raise ValueError(f"keywords of class {c} must be a non-empty tuple, "
@@ -143,6 +138,11 @@ class SyntheticSpec:
             raise ValueError("document length bounds must satisfy 1 <= min <= max")
         if min(self.general_size, self.domain_size, self.labeled_pool_size) < 1:
             raise ValueError("corpus sizes must be positive")
+
+    @property
+    def num_classes(self) -> int:
+        """One class per keyword list."""
+        return len(self.keywords)
 
     def filler_tokens(self) -> list[str]:
         return [f"w{i:04d}" for i in range(self.filler_vocab_size)]

@@ -382,11 +382,12 @@ def render_markdown_table(rows: Sequence[MetricsRow], dataset: str) -> str:
 
 def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
                   curves: dict[str, list[Curve]] | None = None) -> Path:
-    """Write metrics.csv, an SVG and a CSV for each curve set, and report.md,
-    each file's text built before the first is written.
+    """Write metrics.csv, report.md and, under curves/, an SVG and a CSV for
+    each curve set, each file's text built before the first is written.
 
     Returns the path of the Markdown report. Outputs are deterministic
     functions of the inputs; every mean and std is computed from the rows.
+    A curve-set name becomes a file name, so it must be one path component.
     """
     if not rows:
         raise ValueError("empty metrics table")
@@ -408,9 +409,11 @@ def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
     if curves:
         lines += ["## Curves", ""]
         for name in sorted(curves):
-            files[f"{name}.svg"] = render_curve_svg(curves[name], title=name)
-            files[f"{name}.csv"] = _curve_csv(curves[name])
-            lines.append(f"![{name}]({name}.svg)")
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise ValueError(f"curve set name {name!r} is not one path component")
+            files[f"curves/{name}.svg"] = render_curve_svg(curves[name], title=name)
+            files[f"curves/{name}.csv"] = _curve_csv(curves[name])
+            lines.append(f"![{name}](curves/{name}.svg)")
         lines.append("")
     files["report.md"] = "\n".join(lines)
     out_dir = Path(out_dir)

@@ -195,7 +195,9 @@ class EncoderWeights(ParamGroup):
     Field order is fixed so that one init generator consumed sequentially
     reproduces identical weights for identical seeds. Without an rng every
     weight is a zero placeholder and nothing is drawn: the group then only
-    gives the names and shapes the config implies.
+    gives the names and shapes the config implies, and its shape-only form
+    allocates no tensor memory: the zeros stay unwritten pages until
+    something writes them, and only the d-wide gains are filled with ones.
     """
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None):
@@ -205,10 +207,10 @@ class EncoderWeights(ParamGroup):
         gen = rng.stream(STREAM_INIT).generator() if rng is not None else None
 
         def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True, dtype=dt)
+            return Tensor(np.zeros(shape, dt), requires_grad=True)
 
         def ones(*shape):
-            return Tensor(np.ones(shape), requires_grad=True, dtype=dt)
+            return Tensor(np.ones(shape, dt), requires_grad=True)
 
         def w(*shape):
             if gen is None:
@@ -513,30 +515,22 @@ def mlm_logits(
 # ---------------------------------------------------------------------------
 
 
-def encoder_param_total(config: ModelConfig) -> int:
-    """Closed-form count of every stored encoder parameter."""
-    d, f, V, T, L = (config.d_model, config.ffn_dim, config.vocab_size,
-                     config.max_positions, config.num_layers)
-    per_layer = 4 * (d * d + d) + 2 * d + (d * f + f) + (f * d + d) + 2 * d
-    mlm_head = (d * d + d) + 2 * d + V
-    return V * d + T * d + L * per_layer + 2 * d + mlm_head
-
-
 def count_trainable(config: ModelConfig, method: str, num_classes: int = 0
                     ) -> tuple[int, int, float]:
-    """(trainable, total, ratio) for a method on this config.
+    """(trainable, total, ratio) for a method on this config, counted as the
+    ``param_count()`` of the groups it trains.
 
-    total is the stored base-encoder parameter count; the prefix rows and
-    task head are add-ons counted on the trainable side only, which keeps
-    the ratio comparable to the base model size. Prefix methods train
-    2*L*n*d prefix entries plus the head; full methods train everything.
+    total is the shape-only ``EncoderWeights``' count; the ``PrefixSet`` and
+    task head are add-ons counted on the trainable side only, which keeps the
+    ratio comparable to the base model size. A prefix method at
+    ``prefix_length`` 0 is refused, as ``PrefixSet.init_random`` refuses it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    total = encoder_param_total(config)
-    head = config.d_model * num_classes + num_classes if num_classes else 0
-    if method in PREFIX_METHODS:
-        trainable = 2 * config.num_layers * config.prefix_length * config.d_model + head
-    else:
-        trainable = total + head
+    total = EncoderWeights(config).param_count()
+    trainable = (PrefixSet.init_random(config, Rng(0)).param_count()
+                 if method in PREFIX_METHODS else total)
+    if num_classes:
+        trainable += ClassificationHead.init_random(config.d_model, num_classes,
+                                                    Rng(0)).param_count()
     return trainable, total, trainable / total

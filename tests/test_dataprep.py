@@ -154,6 +154,17 @@ class TestCleanEchr:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: case id 'A' repeats line 1")):
             build_echr(path, tmp_path / "echr")
 
+    def test_build_echr_keeps_a_raw_line_separator_in_a_title(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        cases = [{"title": f"T{i}\u2028part", "facts": ["1. a fact"], "id": f"c{i}",
+                  "violated_articles": ["6"] if i % 2 else []} for i in range(20)]
+        path.write_text("".join(json.dumps(c, ensure_ascii=False) + "\n" for c in cases),
+                        encoding="utf-8")
+        manifest = build_echr(path, tmp_path / "echr")
+        docs = [d for name in manifest.SPLITS for d in manifest.load_split(name)]
+        assert sorted(d.text for d in docs) == sorted(f"T{i}\u2028part\na fact"
+                                                      for i in range(20))
+
     def test_build_echr_names_a_non_utf8_file(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         path.write_bytes(b'{"title": "caf\xe9", "facts": ["a fact"]}\n')
@@ -462,7 +473,7 @@ class TestDatasetManifestValidation:
 class TestSyntheticSpec:
     def test_overlapping_keywords_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
-            SyntheticSpec(num_classes=2, keywords=(("a", "b"), ("b", "c")))
+            SyntheticSpec(keywords=(("a", "b"), ("b", "c")))
 
     def test_rate_bounds(self):
         with pytest.raises(ValueError, match="injection_rate"):
@@ -472,9 +483,11 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="below 1"):
             SyntheticSpec(injection_rate=0.6, marker_rate=0.5)
 
-    def test_keyword_list_count_must_match_classes(self):
-        with pytest.raises(ValueError, match="keyword lists"):
-            SyntheticSpec(num_classes=4)
+    def test_one_class_per_keyword_list(self):
+        spec = SyntheticSpec(keywords=(("a",), ("b",), ("c",), ("d",)))
+        assert spec.num_classes == 4 and spec.class_names()[-1] == "class3"
+        with pytest.raises(ValueError, match="^need at least 2 classes, got 1 keyword lists$"):
+            SyntheticSpec(keywords=(("a",),))
 
     @pytest.mark.parametrize("keywords, message", [
         (("ab", "cd", "ef"), "keywords of class 0 must be a non-empty tuple, got 'ab'"),
@@ -501,10 +514,9 @@ class TestSyntheticSpec:
     @pytest.mark.parametrize("name, value, kind", [
         ("doc_len_max", 40.5, "an int"),
         ("doc_len_min", True, "an int"),
-        ("num_classes", 3.0, "an int"),
         ("general_size", 3.0, "an int"),
-        ("marker_vocab_size", np.int64(40), "an int"),
         ("injection_rate", "0.1", "a real number"),
+        ("marker_vocab_size", np.int64(40), "an int"),
         ("marker_rate", False, "a real number"),
     ])
     def test_mistyped_field_is_named(self, name, value, kind):

@@ -50,14 +50,19 @@ def file_size_limit(nbytes: int):
         signal.signal(signal.SIGXFSZ, handler)
 
 
+def files(root):
+    """Every file under root, subdirectories included."""
+    return [p for p in root.rglob("*") if p.is_file()]
+
+
 def contents(root):
-    return {p.name: p.read_bytes() for p in root.iterdir()}
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in files(root)}
 
 
 @pytest.mark.parametrize("writer", WRITERS)
 def test_failed_write_keeps_the_old_file(tmp_path, writer):
     WRITERS[writer](tmp_path)
-    for p in tmp_path.iterdir():
+    for p in files(tmp_path):
         p.write_bytes(b"old " + p.name.encode())
     old = contents(tmp_path)
     with pytest.raises(OSError), file_size_limit(LIMIT):
@@ -79,7 +84,7 @@ def test_new_files_get_the_mode_open_gives(tmp_path, writer):
         WRITERS[writer](tmp_path)
     finally:
         os.umask(umask)
-    assert {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {0o666 & ~0o027}
+    assert {stat.S_IMODE(p.stat().st_mode) for p in files(tmp_path)} == {0o666 & ~0o027}
 
 
 def test_block_that_raises_leaves_the_old_file(tmp_path):

@@ -326,9 +326,22 @@ class TestRendering:
         curves = {"convergence": [Curve("pt2", [0, 10, 20], [0.2, 0.4, 0.5])]}
         report = render_report(runs("pt2", 32, 0.5), tmp_path, curves=curves)
         text = report.read_text()
-        assert "![convergence](convergence.svg)" in text
-        svg = (tmp_path / "convergence.svg").read_text()
+        assert "![convergence](curves/convergence.svg)" in text
+        svg = (tmp_path / "curves" / "convergence.svg").read_text()
         assert "<polyline" in svg and "step" in svg
+
+    def test_curve_set_named_metrics_keeps_the_table(self, tmp_path):
+        rows = runs("pt2", 32, 0.5, 0.6)
+        render_report(rows, tmp_path, {"metrics": [Curve("loss", [0, 1], [2, 1])]})
+        assert read_metrics_csv(tmp_path / "metrics.csv") == rows
+        assert (tmp_path / "curves" / "metrics.csv").read_text().startswith("series,step,value")
+
+    @pytest.mark.parametrize("name", ["../escape", "a/b", "/abs", "..", ".", "", "a\0b"])
+    def test_curve_set_name_not_one_component_refused(self, tmp_path, name):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"curve set name {re.escape(repr(name))} is not"):
+            render_report(runs("pt2", 32, 0.5), out, {name: [Curve("loss", [0, 1], [2, 1])]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_bytes_deterministic(self, tmp_path):
         rows = runs("pt2", 32, 0.59, 0.63) + runs("ft", 32, 0.54, 0.56)
@@ -336,7 +349,7 @@ class TestRendering:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         render_report(rows, a_dir, curves=curves)
         render_report(rows, b_dir, curves=curves)
-        for name in ("report.md", "metrics.csv", "c.svg", "c.csv"):
+        for name in ("report.md", "metrics.csv", "curves/c.svg", "curves/c.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_report_regenerates_from_metrics_csv(self, tmp_path):

@@ -21,7 +21,6 @@ from pforge.model import (
     count_trainable,
     desk_config,
     encode,
-    encoder_param_total,
     mlm_logits,
     prefix_attention_probs,
     roberta_base_shape,
@@ -515,10 +514,6 @@ class TestEncoderWeights:
         for x, y in zip(a.named_tensors().values(), b.named_tensors().values()):
             assert np.array_equal(x.data, y.data)
 
-    def test_param_count_matches_closed_form(self):
-        w = EncoderWeights(TINY, Rng(0))
-        assert w.param_count() == encoder_param_total(TINY)
-
     def test_copy_is_independent(self):
         a = EncoderWeights(TINY, Rng(0))
         b = a.copy()
@@ -539,14 +534,23 @@ class TestCountTrainable:
                           vocab_size=2000, max_positions=128, prefix_length=8)
         trainable, total, ratio = count_trainable(cfg, "pt2", num_classes=3)
         assert trainable == 2 * 4 * 8 * 64 + (64 * 3 + 3) == 4291
-        assert total == encoder_param_total(cfg)
+        assert total == 342544
         assert ratio == trainable / total
 
-    def test_zero_prefix_no_head_trains_nothing(self):
-        cfg = ModelConfig(num_layers=4, d_model=64, num_heads=4, ffn_dim=256,
-                          vocab_size=2000, max_positions=128, prefix_length=0)
-        trainable, _, _ = count_trainable(cfg, "pt2", num_classes=0)
-        assert trainable == 0
+    @pytest.mark.parametrize("config, full, prefix, total", [
+        (desk_config(), 342739, 4291, 342544),
+        (roberta_base_shape(), 124697436, 149763, 124695129),
+    ], ids=["desk", "roberta_base_shape"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_counts_per_method(self, config, full, prefix, total, method):
+        trainable = prefix if method in PREFIX_METHODS else full
+        assert count_trainable(config, method, 3) == (trainable, total, trainable / total)
+
+    @pytest.mark.parametrize("method", sorted(PREFIX_METHODS))
+    def test_prefix_method_without_prefix_refused(self, method):
+        cfg = replace(desk_config(), prefix_length=0)
+        with pytest.raises(ValueError, match="prefix_length must be >= 1"):
+            count_trainable(cfg, method, num_classes=0)
 
     def test_published_shape_numbers(self):
         cfg = roberta_base_shape()
