@@ -8,6 +8,9 @@ domain adaptation, and plain prefix tuning as baselines.
 Bad input is refused in one way: a ``ValueError`` naming its file or field.
 ``read_text`` reads every text file, ``check_fields`` checks the int, real
 and str fields of the records, and ``DataError`` is a ``ValueError``.
+``read_jsonl`` reads every JSON-lines file, ``read_lines`` every file of one
+entry per line, and ``index_lines`` holds the rule of such a file before it
+is written: each entry is one non-empty line of text and none repeats.
 
 Files are written in one way, whole or not at all: ``write_file`` writes
 every file through a temporary file renamed over the target once complete,
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import numbers
 import os
 import typing
@@ -46,6 +50,45 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: not UTF-8: {exc}") from exc
 
 
+def read_jsonl(path: str | Path, build: typing.Callable[[dict, int], typing.Any]) -> list:
+    """``build(obj, line)`` for the JSON object on each line of ``path``. Lines
+    end at ``"\\n"`` alone and blank ones are skipped; the first that is not an
+    object, or that ``build`` refuses, is refused by ``path:line``."""
+    records = []
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            records.append(build(obj, lineno))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed line ({exc})") from exc
+    return records
+
+
+def index_lines(entries: typing.Sequence[str], where: str | Path, noun: str) -> dict[str, int]:
+    """Each entry's position, after refusing by ``where:line`` an entry that
+    is blank, not a single line of text, or a repeat."""
+    index: dict[str, int] = {}
+    for lineno, entry in enumerate(entries, start=1):
+        if entry == "":
+            raise DataError(f"{where}:{lineno}: blank {noun}")
+        if not isinstance(entry, str) or entry.splitlines() != [entry]:
+            raise DataError(f"{where}:{lineno}: {noun} {entry!r} is not one line of text")
+        if entry in index:
+            raise DataError(f"{where}:{lineno}: {noun} {entry!r} repeats line "
+                            f"{index[entry] + 1}")
+        index[entry] = lineno - 1
+    return index
+
+
+def read_lines(path: str | Path, noun: str) -> list[str]:
+    """The entries of a file of one entry per line, checked by ``index_lines``."""
+    return list(index_lines(read_text(path).splitlines(), path, noun))
+
+
 @contextlib.contextmanager
 def write_file(path: str | Path) -> typing.Iterator[typing.BinaryIO]:
     """A binary handle on a new temporary file beside ``path``, renamed over
@@ -72,11 +115,11 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-# the refusal for each checked annotation, and what it accepts besides bools
+# the refusal for each checked annotation, and the type it accepts besides bools
 _KINDS = {
-    int: ("must be an int", lambda v: isinstance(v, int)),
-    float: ("must be a real number", lambda v: isinstance(v, numbers.Real)),
-    str: ("must be a non-empty str", lambda v: isinstance(v, str) and v != ""),
+    int: ("must be an int", int),
+    float: ("must be a real number", numbers.Real),
+    str: ("must be a non-empty str", str),
 }
 
 
@@ -105,5 +148,5 @@ def check_fields(record) -> None:
         if value is None and optional:
             continue
         refusal, accepts = _KINDS[kind]
-        if isinstance(value, bool) or not accepts(value):
+        if isinstance(value, bool) or not isinstance(value, accepts) or value == "":
             raise ValueError(f"{name} {refusal}, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .. import DataError, read_text, write_text
+from .. import DataError, index_lines, read_jsonl, read_lines, write_text
 from ..numerics import Rng
 from ..textdata import Document, load_jsonl, save_jsonl
 from .htmlmd import html_to_markdown
@@ -88,9 +88,7 @@ class DatasetManifest:
     def labels(self) -> list[str]:
         """labels.txt's lines: line n names class n - 1, so a blank or
         repeated line is refused rather than skipped."""
-        labels = read_text(self.labels_path).splitlines()
-        self._check({}, labels)
-        return labels
+        return read_lines(self.labels_path, "label")
 
     def label_map(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels())}
@@ -106,24 +104,13 @@ class DatasetManifest:
         self._check({name: self.load_split(name) for name in self.SPLITS}, self.labels())
 
     def _check(self, splits: dict[str, list[Document]], labels: list[str]) -> None:
-        """Refuse labels that labels.txt cannot give back as they are (blank,
-        not one line, repeated), a split label missing from them, and an id
-        in two splits, naming the file each would be read from."""
-        first_line: dict[str, int] = {}
-        for lineno, label in enumerate(labels, start=1):
-            if label == "":
-                raise DataError(f"{self.labels_path}:{lineno}: blank label")
-            if not isinstance(label, str) or label.splitlines() != [label]:
-                raise DataError(f"{self.labels_path}:{lineno}: label {label!r} is not "
-                                "one line of text")
-            if label in first_line:
-                raise DataError(f"{self.labels_path}:{lineno}: label {label!r} repeats "
-                                f"line {first_line[label]}")
-            first_line[label] = lineno
+        """Refuse labels that ``index_lines`` refuses, a split label missing from
+        them, and an id in two splits, naming the file each would be read from."""
+        index = index_lines(labels, self.labels_path, "label")
         seen: dict[str, str] = {}
         for split in self.SPLITS:
             for doc in splits.get(split, []):
-                if doc.label is not None and doc.label not in first_line:
+                if doc.label is not None and doc.label not in index:
                     raise DataError(f"{self.split_path(split)}: label {doc.label!r} "
                                     "missing from labels.txt")
                 if doc.id is not None:
@@ -138,7 +125,10 @@ class DatasetManifest:
               labels: list[str], unlabeled: list[Document],
               provenance: dict) -> "DatasetManifest":
         """Check the splits and labels as ``validate`` would read them back,
-        then write the directory's files."""
+        then write the directory's files. A split outside ``SPLITS`` is refused."""
+        unknown = [name for name in splits if name not in cls.SPLITS]
+        if unknown:
+            raise DataError(f"unknown split {unknown[0]!r}, not one of {cls.SPLITS}")
         manifest = cls(root)
         manifest._check(splits, labels)
         for name in cls.SPLITS:
@@ -279,23 +269,17 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
     Expected fields per line: title, facts (list of strings),
     violated_articles (list of strings), optional id.
     """
-    docs = []
     first_line: dict[str, int] = {}
-    # lines end at "\n" alone, as in load_jsonl: a raw U+2028 is text
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            doc = clean_echr(obj["title"], obj["facts"], obj.get("violated_articles", []),
-                             case_id=obj.get("id", f"case-{lineno}"))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad case record ({exc})") from exc
+
+    def case(obj: dict, lineno: int) -> Document:
+        doc = clean_echr(obj["title"], obj["facts"], obj.get("violated_articles", []),
+                         case_id=obj.get("id", f"case-{lineno}"))
         if doc.id in first_line:
-            raise DataError(f"{path}:{lineno}: case id {doc.id!r} repeats line "
-                            f"{first_line[doc.id]}")
+            raise ValueError(f"case id {doc.id!r} repeats line {first_line[doc.id]}")
         first_line[doc.id] = lineno
-        docs.append(doc)
+        return doc
+
+    docs = read_jsonl(path, case)
     if not docs:
         raise DataError(f"{path}: no cases found")
     return _write_labeled("echr", out_dir, docs, Counter(d.label for d in docs), [],
@@ -309,19 +293,22 @@ def parse_stackexchange_xml(path: str | Path) -> list[RawPost]:
     """Read a Stack Exchange Posts XML dump (question rows only).
 
     Attributes used: Id, Title, Body, Tags (wire format "<tag1><tag2>"),
-    CreationDate. Rows without Title or Tags (answers, wikis) are skipped.
+    CreationDate. Rows without Title or Tags (answers, wikis) are skipped,
+    and a question row without an Id is refused by its row number.
     """
     path = Path(path)
     posts = []
     try:
-        for _, elem in ET.iterparse(str(path), events=("end",)):
-            if elem.tag != "row":
-                continue
+        rows = (elem for _, elem in ET.iterparse(str(path), events=("end",))
+                if elem.tag == "row")
+        for rowno, elem in enumerate(rows, start=1):
             title = elem.get("Title")
             tags_raw = elem.get("Tags")
             if title is None or tags_raw is None:
                 elem.clear()
                 continue
+            if not elem.get("Id"):
+                raise DataError(f"{path}: row {rowno}: question row has no Id")
             created = 0.0
             stamp = elem.get("CreationDate")
             if stamp:
@@ -332,7 +319,7 @@ def parse_stackexchange_xml(path: str | Path) -> list[RawPost]:
                     raise DataError(f"{path}: row Id={elem.get('Id')!r}: bad CreationDate "
                                     f"{stamp!r} ({exc})") from exc
             posts.append(RawPost(
-                id=elem.get("Id", ""),
+                id=elem.get("Id"),
                 title=title,
                 body=elem.get("Body", ""),
                 tags=tuple(_TAG_WIRE_RE.findall(tags_raw)),

@@ -233,6 +233,7 @@ class Curve:
     values: list[float]
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.steps) != len(self.values):
             raise ValueError("steps and values lengths differ")
 
@@ -387,7 +388,9 @@ def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
 
     Returns the path of the Markdown report. Outputs are deterministic
     functions of the inputs; every mean and std is computed from the rows.
-    A curve-set name becomes a file name, so it must be one path component.
+    A curve-set name becomes a file name, so it must be one path component,
+    and a Markdown link destination ``<curves/NAME.svg>``, so it holds no
+    ``<``, ``>`` or line break.
     """
     if not rows:
         raise ValueError("empty metrics table")
@@ -411,9 +414,12 @@ def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
         for name in sorted(curves):
             if name in ("", ".", "..") or "/" in name or "\0" in name:
                 raise ValueError(f"curve set name {name!r} is not one path component")
+            if any(c in name for c in "<>\n\r"):
+                raise ValueError(f"curve set name {name!r} cannot be a Markdown link "
+                                 "destination")
             files[f"curves/{name}.svg"] = render_curve_svg(curves[name], title=name)
             files[f"curves/{name}.csv"] = _curve_csv(curves[name])
-            lines.append(f"![{name}](curves/{name}.svg)")
+            lines.append(f"![{name}](<curves/{name}.svg>)")
         lines.append("")
     files["report.md"] = "\n".join(lines)
     out_dir = Path(out_dir)

@@ -415,6 +415,8 @@ def encode(
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ValueError(f"ids must be a (B, T) batch, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integer token ids, got dtype {ids.dtype}")
     attn_mask = np.asarray(attn_mask)
     b, t = ids.shape
     if ids.size and ids.max() >= cfg.vocab_size:

@@ -122,7 +122,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import DataError, read_text, write_text
+from . import DataError, check_fields, index_lines, read_jsonl, read_lines, write_text
 from .model import ModelConfig
 from .numerics import IGNORE_INDEX, Rng
 
@@ -39,17 +39,8 @@ class Vocab:
         tokens = tuple(tokens)
         if tokens[: len(SPECIALS)] != SPECIALS:
             raise ValueError(f"vocab must start with specials {SPECIALS}")
-        if any(not t for t in tokens):
-            raise ValueError("empty token in vocab")
-        # save writes one token per line and load splits with str.splitlines
-        bad = [t for t in tokens if not isinstance(t, str) or t.splitlines() != [t]]
-        if bad:
-            raise ValueError(f"vocab tokens that are not one line of text: {bad[:5]}")
         self._tokens = tokens
-        self._index = {t: i for i, t in enumerate(tokens)}
-        if len(self._index) != len(tokens):
-            dupes = [t for t, c in Counter(tokens).items() if c > 1]
-            raise ValueError(f"duplicate tokens in vocab: {dupes[:5]}")
+        self._index = index_lines(tokens, "vocab", "token")
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -71,7 +62,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = read_text(path).splitlines()
+        lines = read_lines(path, "token")
         try:
             return cls(lines)
         except ValueError as exc:
@@ -116,13 +107,7 @@ class Document:
     id: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise ValueError(f"document text must be a str, got {type(self.text).__name__}")
-        for name in ("label", "id"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"document {name} must be a str or None, "
-                                 f"got {type(value).__name__}")
+        check_fields(self)
         if not self.text.strip():
             raise ValueError("document text is empty after normalization")
 
@@ -135,6 +120,7 @@ class EncodedExample:
     label_id: int | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not self.ids or self.ids[0] != CLS_ID:
             raise ValueError("encoded example must start with [CLS]")
         if PAD_ID in self.ids:
@@ -221,24 +207,9 @@ def apply_mlm_mask(ids: np.ndarray, attn_mask: np.ndarray, p_select: float,
 
 
 def load_jsonl(path: str | Path) -> list[Document]:
-    """One JSON object per line: "text" required, "label"/"id" optional.
-
-    Lines end at ``"\\n"`` alone, as ``save_jsonl`` writes them: a text may
-    hold U+2028. Blank lines are skipped, and the first malformed line is
-    refused by ``path:line``, so a torn last line is not a smaller dataset.
-    """
-    docs: list[Document] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            docs.append(Document(text=obj["text"], label=obj.get("label"), id=obj.get("id")))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: malformed line ({exc})") from exc
-    return docs
+    """Documents read by ``read_jsonl``: "text" required, "label"/"id" optional."""
+    return read_jsonl(path, lambda obj, _: Document(text=obj["text"], label=obj.get("label"),
+                                                    id=obj.get("id")))
 
 
 def save_jsonl(path: str | Path, docs: Iterable[Document]) -> None:

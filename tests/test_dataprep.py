@@ -132,7 +132,7 @@ class TestCleanEchr:
         path.write_text(json.dumps(good) + "\n"
                         + json.dumps({**good, "violated_articles": "none"}) + "\n",
                         encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad case record "
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: malformed line "
                                                       "(violated_articles")):
             build_echr(path, tmp_path / "echr")
 
@@ -142,7 +142,7 @@ class TestCleanEchr:
         path.write_text(json.dumps(good) + "\n"
                         + json.dumps({**good, "facts": "1. a fact"}) + "\n",
                         encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad case record (facts")):
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: malformed line (facts")):
             build_echr(path, tmp_path / "echr")
 
 
@@ -151,7 +151,8 @@ class TestCleanEchr:
         good = {"title": "T", "facts": ["1. a fact"], "violated_articles": []}
         path.write_text("".join(json.dumps({**good, "id": case}) + "\n"
                                 for case in ("A", "B", "A")), encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(f"{path}:3: case id 'A' repeats line 1")):
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: malformed line "
+                                                      "(case id 'A' repeats line 1)")):
             build_echr(path, tmp_path / "echr")
 
     def test_build_echr_keeps_a_raw_line_separator_in_a_title(self, tmp_path):
@@ -360,6 +361,12 @@ class TestStackExchangeXml:
         with pytest.raises(DataError, match="XML"):
             parse_stackexchange_xml(path)
 
+    def test_question_row_without_id_refused_by_row(self, tmp_path):
+        path = tmp_path / "Posts.xml"
+        path.write_text(self.XML.replace('<row Id="3" ', '<row '))
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 3: question row has no Id")):
+            parse_stackexchange_xml(path)
+
     def test_bad_creation_date_names_path_row_and_field(self, tmp_path):
         path = tmp_path / "Posts.xml"
         path.write_text(self.XML.replace("2020-01-02T03:04:05.000", "not-a-date"))
@@ -429,7 +436,10 @@ class TestDatasetManifestValidation:
         ({}, ["a", "b\u2028c"], r"labels.txt:2: label 'b\u2028c' is not one line of text"),
         ({}, ["a", 3], "labels.txt:2: label 3 is not one line of text"),
         ({}, ["a", "b", "a"], "labels.txt:3: label 'a' repeats line 1"),
-    ], ids=["unknown-label", "cross-split-id", "blank", "two-lines", "not-str", "repeated"])
+        ({"validation": [Document(text="x", label="a", id="1")]}, ["a"],
+         "unknown split 'validation'"),
+    ], ids=["unknown-label", "cross-split-id", "blank", "two-lines", "not-str", "repeated",
+            "unknown-split"])
     def test_write_refuses_before_writing_any_file(self, tmp_path, splits, labels, message):
         root = tmp_path / "ds"
         with pytest.raises(DataError, match=re.escape(message)):

@@ -12,14 +12,18 @@ import numpy as np
 import pytest
 
 from pforge.dataprep import SyntheticSpec
-from pforge.metrics import MetricsRow
+from pforge.metrics import Curve, MetricsRow
 from pforge.model import ModelConfig
+from pforge.textdata import Document, EncodedExample
 
 RECORDS = (
     ModelConfig(num_layers=2, d_model=8, num_heads=2, ffn_dim=16, vocab_size=50,
                 max_positions=32),
     SyntheticSpec(),
     MetricsRow(method="ft", dataset="synthetic", fewshot_size=8),
+    Document(text="a document", label="a", id="d1"),
+    EncodedExample(ids=[2, 7], label_id=1),
+    Curve(name="loss", steps=[0.0, 1.0], values=[2.0, 1.0]),
 )
 
 # the refusal each annotation gets, and values of a wrong kind for it

@@ -326,7 +326,7 @@ class TestRendering:
         curves = {"convergence": [Curve("pt2", [0, 10, 20], [0.2, 0.4, 0.5])]}
         report = render_report(runs("pt2", 32, 0.5), tmp_path, curves=curves)
         text = report.read_text()
-        assert "![convergence](curves/convergence.svg)" in text
+        assert "![convergence](<curves/convergence.svg>)" in text
         svg = (tmp_path / "curves" / "convergence.svg").read_text()
         assert "<polyline" in svg and "step" in svg
 
@@ -340,6 +340,19 @@ class TestRendering:
     def test_curve_set_name_not_one_component_refused(self, tmp_path, name):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"curve set name {re.escape(repr(name))} is not"):
+            render_report(runs("pt2", 32, 0.5), out, {name: [Curve("loss", [0, 1], [2, 1])]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_curve_set_name_with_spaces_linked_in_angle_brackets(self, tmp_path):
+        curves = {"dev loss (ft)": [Curve("ft", [0, 1], [2, 1])]}
+        report = render_report(runs("pt2", 32, 0.5), tmp_path, curves=curves)
+        assert "![dev loss (ft)](<curves/dev loss (ft).svg>)" in report.read_text()
+        assert (tmp_path / "curves" / "dev loss (ft).svg").is_file()
+
+    @pytest.mark.parametrize("name", ["a<b", "a>b", "a\nb", "a\rb"])
+    def test_curve_set_name_not_a_link_destination_refused(self, tmp_path, name):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"curve set name {re.escape(repr(name))} cannot"):
             render_report(runs("pt2", 32, 0.5), out, {name: [Curve("loss", [0, 1], [2, 1])]})
         assert list(tmp_path.iterdir()) == []
 

@@ -257,6 +257,12 @@ class TestEncode:
         with pytest.raises(ValueError, match="negative"):
             encode(bad, self.mask, self.weights)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_ids_rejected_naming_the_dtype(self, dtype):
+        with pytest.raises(ValueError, match=f"ids must be integer token ids, "
+                                             f"got dtype {np.dtype(dtype)}"):
+            encode(self.ids.astype(dtype), self.mask, self.weights)
+
     def test_over_length_rejected(self):
         t = TINY.token_budget + 1
         ids = np.full((1, t), 4)

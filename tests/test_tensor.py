@@ -623,6 +623,11 @@ class TestTape:
         with pytest.raises(ValueError, match="scalar"):
             (p * p).backward()
 
+    # backward accepts a size-1 loss of any ndim, so item must too
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_of_a_size_one_tensor(self, shape):
+        assert Tensor(np.full(shape, 2.5)).item() == 2.5
+
     def test_backward_of_tensor_without_gradient_rejected(self):
         with pytest.raises(ValueError, match="requires no gradient"):
             sum_all(Tensor(np.ones(3))).backward()

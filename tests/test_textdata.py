@@ -59,11 +59,11 @@ class TestVocab:
             Vocab(("a", "b") + SPECIALS)
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="^vocab:6: token 'a' repeats line 5$"):
             Vocab(SPECIALS + ("a", "a"))
 
     def test_empty_token_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^vocab:6: blank token$"):
             Vocab(SPECIALS + ("a", ""))
 
     # every line boundary str.splitlines knows, which save/load could not
@@ -73,7 +73,8 @@ class TestVocab:
                                  "\x85", "\u2028", "\u2029")),
         3])
     def test_token_not_one_line_of_text_rejected(self, token):
-        with pytest.raises(ValueError, match=re.escape(f"not one line of text: [{token!r}]")):
+        with pytest.raises(ValueError, match=re.escape(f"vocab:6: token {token!r} is not "
+                                                       "one line of text")):
             Vocab(SPECIALS + ("a b", token))
 
     def test_save_load_round_trip(self, tmp_path):
@@ -87,12 +88,13 @@ class TestVocab:
 
     @pytest.mark.parametrize("lines, message", [
         (["a", "b", *SPECIALS], "must start with specials"),
-        ([*SPECIALS, "a", "", "b"], "empty token"),
-    ], ids=["specials-not-first", "empty-token"])
+        ([*SPECIALS, "a", "", "b"], ":6: blank token"),
+        ([*SPECIALS, "a", "b", "a"], ":7: token 'a' repeats line 5"),
+    ], ids=["specials-not-first", "empty-token", "repeated-token"])
     def test_load_errors_name_the_file(self, tmp_path, lines, message):
         path = tmp_path / "vocab.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(message)):
             Vocab.load(path)
 
     @pytest.mark.parametrize("content, message", [
@@ -213,9 +215,9 @@ class TestDocument:
             Document(text="   ")
 
     @pytest.mark.parametrize("fields, match", [
-        ({"text": 5}, "text must be a str, got int"),
-        ({"text": "x", "label": 3}, "label must be a str or None, got int"),
-        ({"text": "x", "id": 7}, "id must be a str or None, got int"),
+        ({"text": 5}, "text must be a non-empty str, got 5"),
+        ({"text": "x", "label": 3}, "label must be a non-empty str, got 3"),
+        ({"text": "x", "id": 7}, "id must be a non-empty str, got 7"),
     ])
     def test_mistyped_field_named(self, fields, match):
         with pytest.raises(ValueError, match=match):
@@ -364,7 +366,8 @@ class TestLoadJsonl:
             load_jsonl(path)
 
     @pytest.mark.parametrize("bad", [{"text": 5}, {"text": "x", "label": 3},
-                                     {"text": "x", "id": 7}])
+                                     {"text": "x", "id": 7}, {"text": "x", "label": ""},
+                                     {"text": "x", "id": ""}])
     def test_mistyped_field_counts_malformed(self, tmp_path, bad):
         good = [json.dumps({"text": f"doc {i}"}) for i in range(99)]
         path = self.write(tmp_path, good + [json.dumps(bad)])
