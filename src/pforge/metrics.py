@@ -35,7 +35,10 @@ class PredictionLog:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integer class ids, got dtype {labels.dtype}")
+        self.labels = np.asarray(labels, dtype=np.int64)
         if self.probs.ndim != 2:
             raise ValueError(f"probs must be (N, C), got shape {self.probs.shape}")
         n, c = self.probs.shape
@@ -414,9 +417,9 @@ def render_report(rows: Sequence[MetricsRow], out_dir: str | Path,
         for name in sorted(curves):
             if name in ("", ".", "..") or "/" in name or "\0" in name:
                 raise ValueError(f"curve set name {name!r} is not one path component")
-            if any(c in name for c in "<>\n\r"):
-                raise ValueError(f"curve set name {name!r} cannot be a Markdown link "
-                                 "destination")
+            if any(c in name for c in "<>[]\\\n\r"):
+                raise ValueError(f"curve set name {name!r} cannot be a Markdown image's "
+                                 "alt text and link destination")
             files[f"curves/{name}.svg"] = render_curve_svg(curves[name], title=name)
             files[f"curves/{name}.csv"] = _curve_csv(curves[name])
             lines.append(f"![{name}](<curves/{name}.svg>)")

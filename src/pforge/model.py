@@ -440,15 +440,11 @@ def encode(
     if unpadded.size:
         raise ValueError(f"attn_mask row {unpadded[0]} is not right-padded")
     lengths = np.count_nonzero(attn_mask, axis=1)
-    # attention_with_prefix checks the prefix width
+    # attention_with_prefix checks the prefix width, and the tape its dtype
     if prefix is not None:
         if prefix.num_layers != cfg.num_layers:
             raise ValueError(
                 f"prefix has {prefix.num_layers} layers, model has {cfg.num_layers}")
-        for name, tensor in prefix.named_tensors().items():
-            if tensor.dtype != cfg.precision:
-                raise ValueError(f"prefix tensor {name} is {tensor.dtype.name}, "
-                                 f"encoder precision is {cfg.precision}")
 
     p = cfg.dropout if train else 0.0
     if p > 0 and rng is None:
@@ -484,10 +480,6 @@ def classify(hidden: Tensor, head: ClassificationHead) -> Tensor:
         raise ValueError(
             f"hidden width {hidden.shape[-1]} does not match head input {head.w.shape[0]}"
         )
-    for name, tensor in head.named_tensors().items():
-        if tensor.dtype != hidden.dtype:
-            raise ValueError(f"{name} is {tensor.dtype.name}, hidden states are "
-                             f"{hidden.dtype.name}")
     b = hidden.shape[0]
     pooled = gather_positions(hidden, np.arange(b), np.zeros(b, dtype=int))
     return add_bias(matmul(pooled, head.w), head.b)

@@ -70,9 +70,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray,
     n = k.shape[-2] - t
     if n < 0:
         raise ValueError(f"keys cover {k.shape[-2]} rows, fewer than the {t} queries")
-    if not q.dtype == k.dtype == v.dtype:
-        raise ValueError(f"attention_core dtypes differ: q {q.dtype}, k {k.dtype}, "
-                         f"v {v.dtype}")
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"attention_core dropout_p must lie in [0, 1), got {dropout_p}")
     if dropout_p > 0.0 and gen is None:

@@ -6,6 +6,11 @@ gradient to gradients for each parent. ``backward()`` walks the tape in
 reverse topological order. Arrays are float32 by default; checks and oracles
 run at float64. Operations never mutate their inputs.
 
+The dtype rule: the Tensor inputs of one op share one dtype. ``_make``
+refuses an op that records inputs of two dtypes with ``ValueError`` naming
+the op and the dtypes in input order, under ``no_grad`` too, so no op
+upcasts a float32 input against a float64 one; ops check only their shapes.
+
 The gradient rule: an op's closure returns ``None`` for every input that
 does not require a gradient, so a frozen weight costs no backward work.
 ``backward()`` stores an input's first gradient as given, cast to its dtype,
@@ -211,6 +216,9 @@ def _coerce(x, dtype: np.dtype) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
+    if len(parents) > 1 and len({p.data.dtype for p in parents}) > 1:
+        raise ValueError(f"{bwd.__qualname__.split('.')[0]} inputs mix dtypes "
+                         + ", ".join(p.data.dtype.name for p in parents))
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -373,10 +381,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm affine shape mismatch: input last dim {d}, "
             f"gain {gain.shape}, bias {bias.shape}"
         )
-    for name, t in (("gain", gain), ("bias", bias)):
-        if t.dtype != a.dtype:
-            raise ValueError(f"layer_norm {name} dtype {t.dtype} differs from the "
-                             f"input's {a.dtype}")
     mu = a.data.mean(axis=-1, keepdims=True)
     xhat = a.data - mu
     # xc * xc, then the output xhat * gain + bias, in one buffer

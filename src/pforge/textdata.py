@@ -121,6 +121,12 @@ class EncodedExample:
 
     def __post_init__(self):
         check_fields(self)
+        # types are collected in C, since a set-up builds thousands of
+        # examples; the loop only finds the id to name
+        if not set(map(type, self.ids)) <= {int}:
+            for i, x in enumerate(self.ids):
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise ValueError(f"ids[{i}] must be an int, got {x!r}")
         if not self.ids or self.ids[0] != CLS_ID:
             raise ValueError("encoded example must start with [CLS]")
         if PAD_ID in self.ids:

@@ -96,6 +96,19 @@ class TestPredictionLog:
         with pytest.raises(ValueError, match="2 classes"):
             PredictionLog(probs=np.array([[1.0]]), labels=np.array([0]))
 
+    # np.asarray(..., dtype=np.int64) would score these as [1, 0]
+    @pytest.mark.parametrize("labels, dtype", [([1.7, 0.2], "float64"),
+                                               (np.array([1.0, 0.0], np.float32), "float32"),
+                                               ([True, False], "bool")])
+    def test_non_integer_labels_rejected_naming_the_dtype(self, labels, dtype):
+        with pytest.raises(ValueError, match=f"labels must be integer class ids, got dtype "
+                                             f"{dtype}$"):
+            PredictionLog(probs=np.array([[0.5, 0.5], [0.5, 0.5]]), labels=labels)
+
+    def test_empty_log_accepted(self):
+        log = PredictionLog(probs=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
+        assert len(log) == 0 and log.labels.dtype == np.int64
+
 
 class TestMacroF1:
     def test_all_correct_is_one(self):
@@ -349,7 +362,7 @@ class TestRendering:
         assert "![dev loss (ft)](<curves/dev loss (ft).svg>)" in report.read_text()
         assert (tmp_path / "curves" / "dev loss (ft).svg").is_file()
 
-    @pytest.mark.parametrize("name", ["a<b", "a>b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("name", ["a<b", "a>b", "a\nb", "a\rb", "a[b", "a]b", "a\\b"])
     def test_curve_set_name_not_a_link_destination_refused(self, tmp_path, name):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"curve set name {re.escape(repr(name))} cannot"):

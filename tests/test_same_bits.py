@@ -44,3 +44,10 @@ def test_failed_run_is_reported_on_either_side(result):
         f"ref run not correct: {result}"]
     assert same_bits.differences(record(), record(result=result)) == [
         f"work tree run not correct: {result}"]
+
+
+def test_ref_naming_no_commit_exits_2_naming_it(capsys):
+    with pytest.raises(SystemExit) as stop:
+        same_bits.main(["no-such-ref"])
+    assert stop.value.code == 2
+    assert "'no-such-ref' names no commit" in capsys.readouterr().err

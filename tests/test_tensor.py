@@ -159,8 +159,8 @@ class TestLayerNorm:
                                               ("float64", "float32")])
     def test_affine_dtype_mismatch_rejected_naming_it(self, name, dtype, other):
         dtypes = {"gain": dtype, "bias": dtype, name: other}
-        with pytest.raises(ValueError, match=f"layer_norm {name} dtype {other} "
-                                             f"differs from the input's {dtype}"):
+        with pytest.raises(ValueError, match=f"layer_norm inputs mix dtypes {dtype}, "
+                                             f"{dtypes['gain']}, {dtypes['bias']}$"):
             layer_norm(Tensor(np.ones((2, 4)), dtype=dtype),
                        Tensor(np.ones(4), dtype=dtypes["gain"]),
                        Tensor(np.zeros(4), dtype=dtypes["bias"]))
@@ -656,6 +656,22 @@ class TestTape:
         assert same_bits(g, g_before)
         for key, a in INT_INPUTS.items():
             np.testing.assert_array_equal(a, ints[key])
+
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("dtype, other", [("float32", "float64"), ("float64", "float32")])
+    @pytest.mark.parametrize("name, i", [(name, i) for name, (shapes, _) in TAPE_OPS.items()
+                                         if len(shapes) > 1 for i in range(len(shapes))])
+    def test_mixed_dtype_inputs_rejected_naming_the_op(self, name, i, dtype, other, taped):
+        shapes, fn = TAPE_OPS[name]
+        dtypes = [other if j == i else dtype for j in range(len(shapes))]
+        inputs = [Tensor(np.ones(shape), requires_grad=True, dtype=d)
+                  for shape, d in zip(shapes, dtypes)]
+        with pytest.raises(ValueError, match=f"^{name} inputs mix dtypes {', '.join(dtypes)}$"):
+            if taped:
+                fn(*inputs)
+            else:
+                with no_grad():
+                    fn(*inputs)
 
     def test_float32_default_pipeline(self):
         p = parameter(np.ones((2, 2)), dtype="float32")

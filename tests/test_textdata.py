@@ -188,6 +188,18 @@ class TestEncodedExample:
         with pytest.raises(ValueError, match=r"\[PAD\] at position 1"):
             EncodedExample(ids=[CLS_ID, PAD_ID, 5])
 
+    # collate would truncate these when it writes the int64 row
+    @pytest.mark.parametrize("ids, bad", [([CLS_ID, 5.5, 7], "ids[1] must be an int, got 5.5"),
+                                          ([CLS_ID, 7, True], "ids[2] must be an int, got True"),
+                                          ([CLS_ID, np.float64(7.0)], "ids[1] must be an int")])
+    def test_non_integer_id_rejected_naming_its_position(self, ids, bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            EncodedExample(ids=ids)
+
+    def test_numpy_integer_ids_accepted(self):
+        ids, _, _ = collate([EncodedExample(ids=[np.int64(CLS_ID), np.int32(5), 6])])
+        np.testing.assert_array_equal(ids, [[CLS_ID, 5, 6]])
+
     def test_encode_document_truncates(self):
         doc = Document(text=" ".join(["alpha"] * 300))
         enc = encode_document(doc, VOCAB, CFG)

@@ -10,8 +10,9 @@ spec, because ``data_digest`` covers only the encoded train and eval ids.
 Prints every difference in the quality numbers, ``data_digest``,
 ``op_calls_per_step`` and these ``corpus_digests``, and every run that was
 not ``correct`` or had a failed operation. Exits 1 on any of them, 0 when
-every pair matches. ``REF`` = ``HEAD`` checks the committed tree against
-itself, or the work tree's uncommitted edits against it.
+every pair matches, and 2 when REF names no commit. ``REF`` = ``HEAD``
+checks the committed tree against itself, or the work tree's uncommitted
+edits against it.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare the work tree against")
     args = parser.parse_args(argv)
+    if subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.ref}^{{commit}}"],
+                      cwd=ROOT, capture_output=True).returncode != 0:
+        parser.error(f"{args.ref!r} names no commit of {ROOT}")
     workloads = [w["name"] for w in
                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     n_diff = 0
