@@ -7,9 +7,12 @@ at a configurable injection rate. The class signal therefore lives in
 domain vocabulary that the general corpus never contains, which is what
 gives domain adaptation something to learn.
 
-Every draw comes from the raw 64-bit words of the corpus's own Philox
-stream, read in blocks, and each value is derived from them exactly as
-numpy's ``Generator`` derives it from a fresh generator:
+A domain or pool document draws its label, then its length, then per token
+an ``r`` that picks keyword, marker or filler, then the token among that
+branch's choices; a general document draws its length, then per token a
+filler. Every draw comes from the raw 64-bit words of the corpus's own
+Philox stream, and each value is derived from them exactly as numpy's
+``Generator`` derives it from a fresh generator:
 
 - ``random()`` is ``(w >> 11) * 2**-53`` of the next word;
 - ``integers(lo, hi)`` over n = hi - lo values, 1 <= n <= 2**32, takes
@@ -18,6 +21,19 @@ numpy's ``Generator`` derives it from a fresh generator:
   x gives ``lo + (x * n >> 32)`` unless the low 32 bits of ``x * n`` fall
   below ``(2**32 - n) % n``, in which case the next half is tried
   (Lemire's method, arXiv 1805.10941). n = 1 gives lo and takes no bits.
+
+The corpora are drawn from a plan. One Python pass over a block of
+documents draws each label and length one at a time, and places each
+document's token draws by arithmetic: a token's ``random()`` takes the next
+word, its ``integers`` the waiting high half or else the next word's low
+half. So a domain or pool document takes 3 words per 2 tokens and a general
+one half a word per token. numpy then derives every planned token's ``r``,
+branch, index and string at once. The plan cannot place a Lemire rejection
+or a choice among one value, which takes no bits; the first planned
+document that holds either is drawn again one draw at a time from its exact
+stream state, and the documents after it are planned again. A block holds
+about ``_BLOCK_WORDS`` words, so a corpus of any size keeps a fixed
+transient footprint.
 
 numpy keeps the raw words of a seeded bit generator stable, not the
 methods of ``Generator`` (NEP 19), so the corpora depend on the former
@@ -32,45 +48,74 @@ import numpy as np
 
 from .. import check_fields
 from ..numerics import Rng, STREAM_SAMPLING
-from ..textdata import Document
+from ..textdata import Document, word_split
 
 
-# raw words fetched per block: enough to amortise the call, few enough that
-# the block's Python ints do not show in peak memory
-_BLOCK_WORDS = 512
+# raw words planned per block: enough to amortise numpy's per-call cost over
+# thousands of tokens, few enough that the word buffer and the per-token
+# arrays stay below glibc's default 128 KiB mmap threshold, since freeing a
+# mapped block raises that threshold for the rest of the process
+_BLOCK_WORDS = 4096
 _MASK32 = (1 << 32) - 1
 _DOUBLE_UNIT = 2.0 ** -53
-
-
-def _raw_words(bits: np.random.BitGenerator):
-    while True:
-        yield from bits.random_raw(_BLOCK_WORDS).tolist()
+# a token's branch, the column of _Choices' tables
+_KEYWORD, _MARKER, _FILLER = 0, 1, 2
 
 
 class _Draws:
-    """``random()`` and ``integers(lo, hi)`` of a fresh ``Generator`` on gen's
-    bit generator, derived from its raw words (see the module docstring).
+    """``random()`` and ``integers(lo, hi)`` of a fresh ``Generator`` on a bit
+    generator, derived from its raw words (see the module docstring).
 
-    It reads words ahead in blocks, so gen must not be drawn from elsewhere.
+    It reads words ahead in blocks, so the bit generator must not be drawn
+    from elsewhere. The stream state is public so that a plan can move it by
+    arithmetic: ``p`` is the index of the next unread word and ``hw`` that of
+    the word whose high half waits, or -1. Words from ``min(p, hw)`` on stay
+    readable until ``release`` drops those before.
     """
 
-    __slots__ = ("_next_word", "_half")
+    __slots__ = ("_bits", "_words", "_off", "p", "hw")
 
-    def __init__(self, gen: np.random.Generator):
-        self._next_word = _raw_words(gen.bit_generator).__next__
-        self._half = None  # the high half of a word whose low half was used
+    def __init__(self, bits: np.random.BitGenerator):
+        self._bits = bits
+        self._words = np.empty(0, np.uint64)
+        self._off = 0  # stream index of _words[0]
+        self.p = 0
+        self.hw = -1
+
+    def _fetch(self, stop: int) -> None:
+        """Read blocks until the words before stream index stop are held."""
+        while self._off + len(self._words) < stop:
+            self._words = np.concatenate(
+                (self._words, self._bits.random_raw(_BLOCK_WORDS)))
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The words at the stream indices idx, a non-empty int array."""
+        self._fetch(int(idx.max()) + 1)
+        return self._words[idx - self._off]
+
+    def _word(self, i: int) -> int:
+        self._fetch(i + 1)
+        return int(self._words[i - self._off])
+
+    def release(self) -> None:
+        """Drop the words before the earliest one still to be read."""
+        keep = self.p if self.hw < 0 else min(self.p, self.hw)
+        self._words = self._words[keep - self._off:]
+        self._off = keep
 
     def random(self) -> float:
-        return (self._next_word() >> 11) * _DOUBLE_UNIT
+        word = self._word(self.p)
+        self.p += 1
+        return (word >> 11) * _DOUBLE_UNIT
 
     def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = self._next_word()
-            self._half = word >> 32
-            return word & _MASK32
-        self._half = None
-        return half
+        if self.hw >= 0:
+            half = self._word(self.hw) >> 32
+            self.hw = -1
+            return half
+        self.hw = self.p
+        self.p += 1
+        return self._word(self.hw) & _MASK32
 
     def integers(self, lo: int, hi: int) -> int:
         """A uniform int in [lo, hi), for 1 <= hi - lo <= 2**32."""
@@ -114,15 +159,25 @@ class SyntheticSpec:
             raise ValueError(f"keywords must be a tuple, got {self.keywords!r}")
         if len(self.keywords) < 2:
             raise ValueError(f"need at least 2 classes, got {len(self.keywords)} keyword lists")
+        # the general corpus holds no keyword and markers belong to no
+        # class, so a keyword may be neither
+        reserved = {*self.filler_tokens(), *self.marker_tokens()}
         for c, ks in enumerate(self.keywords):
             if not isinstance(ks, tuple) or not ks:
                 raise ValueError(f"keywords of class {c} must be a non-empty tuple, "
                                  f"got {ks!r}")
-            # documents are space-joined tokens, so a keyword is one token
+            # documents are space-joined tokens, so a keyword is one token,
+            # and the tokenizer must read it back as itself
             for k in ks:
                 if not isinstance(k, str) or k.split() != [k]:
                     raise ValueError(f"keywords of class {c} must be non-empty str "
                                      f"without whitespace, got {k!r}")
+                if word_split(k) != [k]:
+                    raise ValueError(f"keywords of class {c} must each be one lowercase "
+                                     f"token of word_split, got {k!r}")
+                if k in reserved:
+                    raise ValueError(f"keywords of class {c} must not be filler or "
+                                     f"marker tokens, got {k!r}")
         flat = [k for ks in self.keywords for k in ks]
         if len(set(flat)) != len(flat):
             raise ValueError("keyword lists must be disjoint across classes")
@@ -154,59 +209,160 @@ class SyntheticSpec:
         return [f"class{i}" for i in range(self.num_classes)]
 
 
-def _doc_tokens(spec: SyntheticSpec, draws: _Draws, label: int,
-                fillers: list[str], markers: list[str]) -> list[str]:
-    """One document's tokens; fillers and markers are the spec's token lists,
-    built once per corpus by the caller."""
-    length = draws.integers(spec.doc_len_min, spec.doc_len_max + 1)
+class _Choices:
+    """Every token a corpus can hold, as one list, and per class and branch
+    the number of choices and the index of the first in that list; with the
+    plan's copies of the three as arrays and each size's Lemire threshold."""
+
+    def __init__(self, spec: SyntheticSpec):
+        fillers, markers = spec.filler_tokens(), spec.marker_tokens()
+        self.tokens = fillers + markers
+        self.sizes, self.offsets = [], []
+        for ks in spec.keywords:
+            self.sizes.append((len(ks), len(markers), len(fillers)))
+            self.offsets.append((len(self.tokens), len(fillers), 0))
+            self.tokens += ks
+        self.token_array = np.array(self.tokens, dtype=object)
+        self.size_array = np.array(self.sizes, dtype=np.uint64)
+        self.offset_array = np.array(self.offsets, dtype=np.int64)
+        self.thresholds = ((1 << 32) - self.size_array) % self.size_array
+
+
+def _doc_one_draw_at_a_time(spec: SyntheticSpec, draws: _Draws, choices: _Choices,
+                            domain: bool) -> tuple[int, list[str]]:
+    """One document's label and tokens, drawn one call at a time; a general
+    (not domain) document draws no label and only fillers."""
+    label = draws.integers(0, spec.num_classes) if domain else 0
+    sizes, offsets = choices.sizes[label], choices.offsets[label]
     out = []
-    for _ in range(length):
-        r = draws.random()
-        if r < spec.injection_rate:
-            ks = spec.keywords[label]
-            out.append(ks[draws.integers(0, len(ks))])
-        elif r < spec.injection_rate + spec.marker_rate:
-            out.append(markers[draws.integers(0, len(markers))])
+    for _ in range(draws.integers(spec.doc_len_min, spec.doc_len_max + 1)):
+        branch = _FILLER
+        if domain:
+            r = draws.random()
+            if r < spec.injection_rate:
+                branch = _KEYWORD
+            elif r < spec.injection_rate + spec.marker_rate:
+                branch = _MARKER
+        out.append(choices.tokens[offsets[branch] + draws.integers(0, sizes[branch])])
+    return label, out
+
+
+def _draw_corpus(spec: SyntheticSpec, bits: np.random.BitGenerator, size: int,
+                 domain: bool) -> tuple[list[int], list[str]]:
+    """The labels and texts of size documents drawn from bits' raw words by
+    the plan of the module docstring; a general (not domain) corpus draws
+    label 0 for every document, from no bits."""
+    draws = _Draws(bits)
+    choices = _Choices(spec)
+    labels, texts = [], []
+    # documents to plan at most: after a document the plan could not place,
+    # the next block starts small, so that a spec full of them is not planned
+    # a whole block per document
+    cap = size
+    while len(texts) < size:
+        # per document, the stream state before it, and its label, its
+        # length and the stream state at its first token
+        starts, rows = [], []
+        first = draws.p
+        while len(texts) + len(rows) < size and len(rows) < cap \
+                and draws.p - first < _BLOCK_WORDS:
+            starts.append((draws.p, draws.hw))
+            label = draws.integers(0, spec.num_classes) if domain else 0
+            length = draws.integers(spec.doc_len_min, spec.doc_len_max + 1)
+            p, hw = draws.p, draws.hw
+            # a waiting half goes to the first token; the rest pair up
+            rest = length - (hw >= 0)
+            base = p + (hw >= 0) * domain
+            if domain:
+                draws.p = base + 3 * (rest // 2) + 2 * (rest % 2)
+                draws.hw = base + 3 * (rest // 2) + 1 if rest % 2 else -1
+            else:
+                draws.p = base + (rest + 1) // 2
+                draws.hw = base + rest // 2 if rest % 2 else -1
+            rows.append((label, length, p, hw))
+
+        toks, kept = _planned_tokens(spec, draws, choices, rows, domain)
+        start = 0
+        for label, length, _, _ in rows[:kept]:
+            labels.append(label)
+            texts.append(" ".join(toks[start:start + length]))
+            start += length
+        if kept < len(rows):
+            draws.p, draws.hw = starts[kept]
+            label, toks = _doc_one_draw_at_a_time(spec, draws, choices, domain)
+            labels.append(label)
+            texts.append(" ".join(toks))
+            cap = 2 * kept + 1
         else:
-            out.append(fillers[draws.integers(0, len(fillers))])
-    return out
+            cap *= 2
+        draws.release()
+    return labels, texts
+
+
+def _planned_tokens(spec: SyntheticSpec, draws: _Draws, choices: _Choices,
+                    rows: list[tuple[int, int, int, int]], domain: bool
+                    ) -> tuple[list[str], int]:
+    """The tokens of the planned documents, rows of (label, length, stream
+    state at the first token), up to the first document the plan cannot
+    place, as one list; and the number of documents before that one.
+
+    Its arrays are freed on return, before the caller builds the documents'
+    strings, so that those strings do not end up among freed arrays.
+    """
+    label, length, p, hw = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    # j numbers a document's tokens from its first pair on, -1 for a token
+    # that takes the waiting half; a pair takes the words r, integers, r in a
+    # domain document and one integers word in a general one
+    doc = np.repeat(np.arange(len(rows)), length)
+    doc_start = np.cumsum(length) - length
+    waits = hw[doc] >= 0
+    j = np.arange(len(doc)) - doc_start[doc] - waits
+    base = p[doc] + waits * domain
+    half = draws.take(np.where(j < 0, hw[doc],
+                               base + (3 if domain else 1) * (j // 2) + domain))
+    x = np.where(j % 2 == 1, half >> np.uint64(32), half & np.uint64(_MASK32))
+    tok_label = label[doc]
+    if domain:
+        word = draws.take(base + 3 * (j // 2) + 2 * (j % 2))
+        r = (word >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+        branch = ((r >= spec.injection_rate).astype(np.int64)
+                  + (r >= spec.injection_rate + spec.marker_rate))
+    else:
+        branch = np.full(len(doc), _FILLER)
+    n = choices.size_array[tok_label, branch]
+    m = x * n
+    unplaced = (n == 1) | ((m & np.uint64(_MASK32))
+                           < choices.thresholds[tok_label, branch])
+    kept = int(doc[unplaced.argmax()]) if unplaced.any() else len(rows)
+    n_toks = doc_start[kept] if kept < len(rows) else len(doc)
+    index = choices.offset_array[tok_label, branch] + (m >> np.uint64(32)).astype(np.int64)
+    return choices.token_array[index[:n_toks]].tolist(), kept
+
+
+def _stream_bits(rng: Rng, corpus: str) -> np.random.BitGenerator:
+    return rng.stream(STREAM_SAMPLING).stream(corpus).generator().bit_generator
 
 
 def gen_general(spec: SyntheticSpec, rng: Rng) -> list[Document]:
     """Filler-only documents; zero domain markers or class keywords."""
-    draws = _Draws(rng.stream(STREAM_SAMPLING).stream("general").generator())
-    fillers = spec.filler_tokens()
-    docs = []
-    for i in range(spec.general_size):
-        length = draws.integers(spec.doc_len_min, spec.doc_len_max + 1)
-        toks = [fillers[draws.integers(0, len(fillers))] for _ in range(length)]
-        docs.append(Document(text=" ".join(toks), id=f"gen-{i:06d}"))
-    return docs
+    _, texts = _draw_corpus(spec, _stream_bits(rng, "general"), spec.general_size,
+                            domain=False)
+    return [Document(text=t, id=f"gen-{i:06d}") for i, t in enumerate(texts)]
 
 
 def gen_domain(spec: SyntheticSpec, rng: Rng) -> list[Document]:
     """Unlabeled in-domain documents: filler + markers + mixed keywords."""
-    draws = _Draws(rng.stream(STREAM_SAMPLING).stream("domain").generator())
-    fillers, markers = spec.filler_tokens(), spec.marker_tokens()
-    docs = []
-    for i in range(spec.domain_size):
-        label = draws.integers(0, spec.num_classes)
-        toks = _doc_tokens(spec, draws, label, fillers, markers)
-        docs.append(Document(text=" ".join(toks), id=f"dom-{i:06d}"))
-    return docs
+    _, texts = _draw_corpus(spec, _stream_bits(rng, "domain"), spec.domain_size,
+                            domain=True)
+    return [Document(text=t, id=f"dom-{i:06d}") for i, t in enumerate(texts)]
 
 
 def gen_labeled_pool(spec: SyntheticSpec, rng: Rng) -> list[Document]:
-    draws = _Draws(rng.stream(STREAM_SAMPLING).stream("labeled").generator())
+    labels, texts = _draw_corpus(spec, _stream_bits(rng, "labeled"),
+                                 spec.labeled_pool_size, domain=True)
     names = spec.class_names()
-    fillers, markers = spec.filler_tokens(), spec.marker_tokens()
-    docs = []
-    for i in range(spec.labeled_pool_size):
-        label = draws.integers(0, spec.num_classes)
-        toks = _doc_tokens(spec, draws, label, fillers, markers)
-        docs.append(Document(text=" ".join(toks), label=names[label],
-                             id=f"lab-{i:06d}"))
-    return docs
+    return [Document(text=t, label=names[c], id=f"lab-{i:06d}")
+            for i, (c, t) in enumerate(zip(labels, texts))]
 
 
 def keyword_count_labels(spec: SyntheticSpec, docs: list[Document]) -> list[int]:

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pforge import DataError
 from pforge.dataprep import (
@@ -22,9 +25,10 @@ from pforge.dataprep import (
     parse_stackexchange_xml,
     split_of,
 )
+from pforge.dataprep import synthetic
 from pforge.dataprep.synthetic import _Draws, gen_domain, gen_general, gen_labeled_pool
 from pforge.metrics import PredictionLog, macro_f1
-from pforge.numerics import Rng
+from pforge.numerics import STREAM_SAMPLING, Rng
 from pforge.textdata import Document, save_jsonl
 
 # mapping-table golden pairs; expected text derived by hand from the rules
@@ -512,6 +516,15 @@ class TestSyntheticSpec:
                                       "whitespace, got ''"),
         ((("a",), ("b",), ("c\n",)), "keywords of class 2 must be non-empty str without "
                                       "whitespace, got 'c\\n'"),
+        # word_split lowercases and splits off punctuation
+        ((("Visa",), ("visa",)), "keywords of class 0 must each be one lowercase token "
+                                 "of word_split, got 'Visa'"),
+        ((("a",), ("don't",)), "keywords of class 1 must each be one lowercase token "
+                               "of word_split, got \"don't\""),
+        ((("a",), ("b", "w0005")), "keywords of class 1 must not be filler or marker "
+                                   "tokens, got 'w0005'"),
+        ((("dm001",), ("b",)), "keywords of class 0 must not be filler or marker "
+                               "tokens, got 'dm001'"),
     ])
     def test_malformed_keywords_name_the_class(self, keywords, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -556,7 +569,7 @@ class TestDraws:
             else:
                 lo = int(script.integers(-5, 6))
                 calls.append((lo, lo + int(script.choice(_DRAW_RANGES))))
-        gen, draws = Rng(seed).generator(), _Draws(Rng(seed).generator())
+        gen, draws = Rng(seed).generator(), _Draws(Rng(seed).generator().bit_generator)
         for call in calls:
             if call is None:
                 want, got = gen.random(), draws.random()
@@ -568,7 +581,7 @@ class TestDraws:
     @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (0, 2**32 + 1), (-1, 2**32)])
     def test_range_outside_32_bits_refused(self, lo, hi):
         with pytest.raises(ValueError, match=r"1 <= hi - lo <= 2\*\*32"):
-            _Draws(Rng(1).generator()).integers(lo, hi)
+            _Draws(Rng(1).generator().bit_generator).integers(lo, hi)
 
 
 class TestGenSynthetic:
@@ -619,9 +632,8 @@ class TestGenSynthetic:
         spec = SyntheticSpec(general_size=30, domain_size=30, labeled_pool_size=80)
         _, domain, manifest = gen_synthetic(spec, Rng(2), tmp_path / "syn")
         manifest.validate()
-        assert manifest.labels() == sorted(
-            manifest.labels(),
-            key=lambda l: (-sum(1 for _ in manifest.labels()), l)) or True
+        counts = Counter(d.label for d in gen_labeled_pool(spec, Rng(2)))
+        assert manifest.labels() == sorted(counts, key=lambda l: (-counts[l], l))
         assert len(manifest.load_unlabeled()) == len(domain)
         assert (manifest.root / "general.jsonl").exists()
 
@@ -663,3 +675,104 @@ class TestGenSynthetic:
             "train.jsonl": "5bb9bfd162394602ccc7dc512ccc63242024e7f93311f1a8236d5099dbf8d43b",
             "unlabeled.jsonl": "93fdf3470d1b86ef1c8fb26a227a0e48c38f29ab7afe0ec31535cec8d3ccb0f7",
         }
+
+
+def one_call_at_a_time(spec, gen, size, domain):
+    """(label, text) of a corpus's size documents drawn through gen's random()
+    and integers() one call at a time, as the generators' docstring states
+    the draws; a general (not domain) document draws no label and only
+    fillers. With a fresh Generator for gen it is the plan's oracle."""
+    fillers, markers = spec.filler_tokens(), spec.marker_tokens()
+    docs = []
+    for _ in range(size):
+        label = int(gen.integers(0, spec.num_classes)) if domain else 0
+        toks = []
+        for _ in range(int(gen.integers(spec.doc_len_min, spec.doc_len_max + 1))):
+            choices = fillers
+            if domain:
+                r = gen.random()
+                if r < spec.injection_rate:
+                    choices = spec.keywords[label]
+                elif r < spec.injection_rate + spec.marker_rate:
+                    choices = markers
+            toks.append(choices[int(gen.integers(0, len(choices)))])
+        docs.append((label, " ".join(toks)))
+    return docs
+
+
+@st.composite
+def synthetic_specs(draw):
+    keywords = tuple(tuple(f"k{c}x{i}" for i in range(draw(st.integers(1, 3))))
+                     for c in range(draw(st.integers(2, 4))))
+    doc_len_min = draw(st.integers(1, 40))
+    return SyntheticSpec(
+        keywords=keywords,
+        filler_vocab_size=draw(st.integers(1, 500)),
+        marker_vocab_size=draw(st.integers(1, 50)),
+        doc_len_min=doc_len_min,
+        doc_len_max=doc_len_min + draw(st.one_of(st.just(0), st.integers(0, 40))),
+        injection_rate=draw(st.sampled_from([0.0, 0.05, 0.25, 0.6])),
+        marker_rate=draw(st.sampled_from([0.0, 0.3, 0.39])),
+        general_size=draw(st.integers(1, 150)),
+        domain_size=draw(st.integers(1, 150)),
+        labeled_pool_size=draw(st.integers(1, 150)))
+
+
+class _Words:
+    """A bit generator stand-in whose raw words are given."""
+
+    def __init__(self, words):
+        self._words = words
+
+    def random_raw(self, n):
+        if n > len(self._words):
+            raise ValueError(f"{n} words asked for, {len(self._words)} left")
+        out, self._words = self._words[:n], self._words[n:]
+        return out
+
+
+class TestDrawPlan:
+    @given(synthetic_specs(), st.integers(0, 1000))
+    # one-value choices everywhere: equal length bounds, a one-keyword class
+    # and one marker
+    @example(SyntheticSpec(keywords=(("k0",), ("k1", "k2")), marker_vocab_size=1,
+                           doc_len_min=9, doc_len_max=9, general_size=40,
+                           domain_size=60, labeled_pool_size=60), 1)
+    # corpora of several blocks of raw words each, no keywords
+    @example(SyntheticSpec(doc_len_min=30, doc_len_max=60, injection_rate=0.0,
+                           general_size=900, domain_size=400, labeled_pool_size=400), 23)
+    @settings(max_examples=25, deadline=None)
+    def test_corpora_match_a_fresh_generator(self, spec, seed):
+        names = spec.class_names()
+        for gen_corpus, stream, size, domain in (
+                (gen_general, "general", spec.general_size, False),
+                (gen_domain, "domain", spec.domain_size, True),
+                (gen_labeled_pool, "labeled", spec.labeled_pool_size, True)):
+            gen = Rng(seed).stream(STREAM_SAMPLING).stream(stream).generator()
+            want = one_call_at_a_time(spec, gen, size, domain)
+            got = gen_corpus(spec, Rng(seed))
+            assert [d.text for d in got] == [text for _, text in want], stream
+            if gen_corpus is gen_labeled_pool:
+                assert [d.label for d in got] == [names[c] for c, _ in want]
+
+    @pytest.mark.parametrize("domain", [False, True])
+    def test_documents_after_a_rejection_are_planned_again(self, monkeypatch, domain):
+        # a zero half is rejected for every range the default spec draws
+        # from, none being a power of two; three zero words in a row hold at
+        # least one token's integers half in either corpus layout
+        words = np.random.Philox(7).random_raw(20000)
+        for at in (100, 1500, 3000):
+            words[at:at + 3] = 0
+        spec = SyntheticSpec()
+        per_draw = []
+
+        def spy(*args):
+            per_draw.append(args)
+            return one_draw_at_a_time(*args)
+
+        one_draw_at_a_time = synthetic._doc_one_draw_at_a_time
+        monkeypatch.setattr(synthetic, "_doc_one_draw_at_a_time", spy)
+        labels, texts = synthetic._draw_corpus(spec, _Words(words.copy()), 300, domain)
+        assert len(per_draw) == 3
+        assert list(zip(labels, texts)) == one_call_at_a_time(
+            spec, _Draws(_Words(words.copy())), 300, domain)
