@@ -27,13 +27,16 @@ documents draws each label and length one at a time, and places each
 document's token draws by arithmetic: a token's ``random()`` takes the next
 word, its ``integers`` the waiting high half or else the next word's low
 half. So a domain or pool document takes 3 words per 2 tokens and a general
-one half a word per token. numpy then derives every planned token's ``r``,
-branch, index and string at once. The plan cannot place a Lemire rejection
-or a choice among one value, which takes no bits; the first planned
-document that holds either is drawn again one draw at a time from its exact
-stream state, and the documents after it are planned again. A block holds
-about ``_BLOCK_WORDS`` words, so a corpus of any size keeps a fixed
-transient footprint.
+one half a word per token. numpy then derives every planned token's
+branch, index and string at once; a branch compares the ``r`` word with the
+word at which each rate starts, which splits the words as ``random()``'s
+float would. The plan cannot place a Lemire rejection; the first planned
+document that holds one is drawn again one draw at a time from its exact
+stream state, and the documents after it are planned again. Nor can it
+place a choice among one value, which takes no bits, so a corpus whose
+tokens can make one (a class of one keyword, one marker or one filler) is
+drawn one draw at a time throughout. A block holds about ``_BLOCK_WORDS``
+words, so a corpus of any size keeps a fixed transient footprint.
 
 numpy keeps the raw words of a seeded bit generator stable, not the
 methods of ``Generator`` (NEP 19), so the corpora depend on the former
@@ -42,6 +45,7 @@ only; ``Generator`` is the tests' oracle for this derivation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +98,9 @@ class _Draws:
         return self._words[idx - self._off]
 
     def _word(self, i: int) -> int:
-        self._fetch(i + 1)
-        return int(self._words[i - self._off])
+        if i - self._off >= len(self._words):
+            self._fetch(i + 1)
+        return self._words.item(i - self._off)
 
     def release(self) -> None:
         """Drop the words before the earliest one still to be read."""
@@ -212,7 +217,8 @@ class SyntheticSpec:
 class _Choices:
     """Every token a corpus can hold, as one list, and per class and branch
     the number of choices and the index of the first in that list; with the
-    plan's copies of the three as arrays and each size's Lemire threshold."""
+    plan's copies of the three as arrays, each size's Lemire threshold, and
+    the words from which ``r`` leaves the keyword, then the marker branch."""
 
     def __init__(self, spec: SyntheticSpec):
         fillers, markers = spec.filler_tokens(), spec.marker_tokens()
@@ -226,11 +232,15 @@ class _Choices:
         self.size_array = np.array(self.sizes, dtype=np.uint64)
         self.offset_array = np.array(self.offsets, dtype=np.int64)
         self.thresholds = ((1 << 32) - self.size_array) % self.size_array
+        # r = (w >> 11) * 2**-53 >= rate exactly when w >= ceil(rate * 2**53)
+        # << 11, which a float64 below 1 keeps below 2**64
+        self.branch_words = [np.uint64(math.ceil(rate * 2.0 ** 53) << 11) for rate in
+                             (spec.injection_rate, spec.injection_rate + spec.marker_rate)]
 
 
 def _doc_one_draw_at_a_time(spec: SyntheticSpec, draws: _Draws, choices: _Choices,
-                            domain: bool) -> tuple[int, list[str]]:
-    """One document's label and tokens, drawn one call at a time; a general
+                            domain: bool) -> tuple[int, str]:
+    """One document's label and text, drawn one call at a time; a general
     (not domain) document draws no label and only fillers."""
     label = draws.integers(0, spec.num_classes) if domain else 0
     sizes, offsets = choices.sizes[label], choices.offsets[label]
@@ -244,7 +254,21 @@ def _doc_one_draw_at_a_time(spec: SyntheticSpec, draws: _Draws, choices: _Choice
             elif r < spec.injection_rate + spec.marker_rate:
                 branch = _MARKER
         out.append(choices.tokens[offsets[branch] + draws.integers(0, sizes[branch])])
-    return label, out
+    return label, " ".join(out)
+
+
+def _token_words(base, j, domain: bool):
+    """Token j's words in a document whose tokens pair up from base on, j
+    counting from the first pair: the next unread word before it, which is
+    its ``r`` word in a domain document, and the word it takes a half of,
+    which waits after it when j is odd. A pair takes the words r, integers,
+    r in a domain document and one integers word in a general one. base and
+    j are ints or int arrays alike."""
+    if domain:
+        half = base + 3 * (j // 2) + 1
+        return half - 1 + 2 * (j % 2), half
+    half = base + j // 2
+    return half + j % 2, half
 
 
 def _draw_corpus(spec: SyntheticSpec, bits: np.random.BitGenerator, size: int,
@@ -255,33 +279,34 @@ def _draw_corpus(spec: SyntheticSpec, bits: np.random.BitGenerator, size: int,
     draws = _Draws(bits)
     choices = _Choices(spec)
     labels, texts = [], []
-    # documents to plan at most: after a document the plan could not place,
-    # the next block starts small, so that a spec full of them is not planned
-    # a whole block per document
-    cap = size
+    if min(min(s) if domain else s[_FILLER] for s in choices.sizes) == 1:
+        # a choice among one value takes no bits, so the plan cannot place
+        # the draws after one; a corpus that can make one is drawn per draw
+        for _ in range(size):
+            label, text = _doc_one_draw_at_a_time(spec, draws, choices, domain)
+            labels.append(label)
+            texts.append(text)
+            draws.release()
+        return labels, texts
     while len(texts) < size:
         # per document, the stream state before it, and its label, its
         # length and the stream state at its first token
         starts, rows = [], []
         first = draws.p
-        while len(texts) + len(rows) < size and len(rows) < cap \
-                and draws.p - first < _BLOCK_WORDS:
+        while len(texts) + len(rows) < size and draws.p - first < _BLOCK_WORDS:
             starts.append((draws.p, draws.hw))
             label = draws.integers(0, spec.num_classes) if domain else 0
             length = draws.integers(spec.doc_len_min, spec.doc_len_max + 1)
             p, hw = draws.p, draws.hw
-            # a waiting half goes to the first token; the rest pair up
+            # a waiting half goes to the first token, whose r word comes
+            # first in a domain document; the rest pair up, and the state
+            # after them is that at a token numbered rest
             rest = length - (hw >= 0)
-            base = p + (hw >= 0) * domain
-            if domain:
-                draws.p = base + 3 * (rest // 2) + 2 * (rest % 2)
-                draws.hw = base + 3 * (rest // 2) + 1 if rest % 2 else -1
-            else:
-                draws.p = base + (rest + 1) // 2
-                draws.hw = base + rest // 2 if rest % 2 else -1
+            draws.p, half = _token_words(p + (hw >= 0) * domain, rest, domain)
+            draws.hw = half if rest % 2 else -1
             rows.append((label, length, p, hw))
 
-        toks, kept = _planned_tokens(spec, draws, choices, rows, domain)
+        toks, kept = _planned_tokens(draws, choices, rows, domain)
         start = 0
         for label, length, _, _ in rows[:kept]:
             labels.append(label)
@@ -289,19 +314,15 @@ def _draw_corpus(spec: SyntheticSpec, bits: np.random.BitGenerator, size: int,
             start += length
         if kept < len(rows):
             draws.p, draws.hw = starts[kept]
-            label, toks = _doc_one_draw_at_a_time(spec, draws, choices, domain)
+            label, text = _doc_one_draw_at_a_time(spec, draws, choices, domain)
             labels.append(label)
-            texts.append(" ".join(toks))
-            cap = 2 * kept + 1
-        else:
-            cap *= 2
+            texts.append(text)
         draws.release()
     return labels, texts
 
 
-def _planned_tokens(spec: SyntheticSpec, draws: _Draws, choices: _Choices,
-                    rows: list[tuple[int, int, int, int]], domain: bool
-                    ) -> tuple[list[str], int]:
+def _planned_tokens(draws: _Draws, choices: _Choices, rows: list[tuple[int, int, int, int]],
+                    domain: bool) -> tuple[list[str], int]:
     """The tokens of the planned documents, rows of (label, length, stream
     state at the first token), up to the first document the plan cannot
     place, as one list; and the number of documents before that one.
@@ -310,30 +331,31 @@ def _planned_tokens(spec: SyntheticSpec, draws: _Draws, choices: _Choices,
     strings, so that those strings do not end up among freed arrays.
     """
     label, length, p, hw = (np.array(c, dtype=np.int64) for c in zip(*rows))
-    # j numbers a document's tokens from its first pair on, -1 for a token
-    # that takes the waiting half; a pair takes the words r, integers, r in a
-    # domain document and one integers word in a general one
+    # j numbers a document's tokens as _token_words does, -1 for a token
+    # that takes the waiting half; its r word is then the one before base
     doc = np.repeat(np.arange(len(rows)), length)
     doc_start = np.cumsum(length) - length
     waits = hw[doc] >= 0
     j = np.arange(len(doc)) - doc_start[doc] - waits
-    base = p[doc] + waits * domain
-    half = draws.take(np.where(j < 0, hw[doc],
-                               base + (3 if domain else 1) * (j // 2) + domain))
-    x = np.where(j % 2 == 1, half >> np.uint64(32), half & np.uint64(_MASK32))
+    r_word, half_word = _token_words(p[doc] + waits * domain, j, domain)
+    half = draws.take(np.where(j < 0, hw[doc], half_word))
+    # an odd j takes the high half, an even one the low half. The halves and
+    # branches come from shifts and integer compares, not from a mask or a
+    # float compare: no other part of a workload runs numpy's code for those,
+    # and paging it in showed in peak RSS
+    x = (half << (32 * (1 - j % 2)).astype(np.uint64)) >> np.uint64(32)
     tok_label = label[doc]
     if domain:
-        word = draws.take(base + 3 * (j // 2) + 2 * (j % 2))
-        r = (word >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
-        branch = ((r >= spec.injection_rate).astype(np.int64)
-                  + (r >= spec.injection_rate + spec.marker_rate))
+        word = draws.take(r_word)
+        keyword_end, marker_end = choices.branch_words
+        branch = (word >= keyword_end).astype(np.int64) + (word >= marker_end)
     else:
         branch = np.full(len(doc), _FILLER)
     n = choices.size_array[tok_label, branch]
     m = x * n
-    unplaced = (n == 1) | ((m & np.uint64(_MASK32))
-                           < choices.thresholds[tok_label, branch])
-    kept = int(doc[unplaced.argmax()]) if unplaced.any() else len(rows)
+    unplaced = np.flatnonzero(((m << np.uint64(32)) >> np.uint64(32))
+                              < choices.thresholds[tok_label, branch])
+    kept = int(doc[unplaced[0]]) if len(unplaced) else len(rows)
     n_toks = doc_start[kept] if kept < len(rows) else len(doc)
     index = choices.offset_array[tok_label, branch] + (m >> np.uint64(32)).astype(np.int64)
     return choices.token_array[index[:n_toks]].tolist(), kept

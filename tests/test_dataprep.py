@@ -741,7 +741,7 @@ class TestDrawPlan:
     # corpora of several blocks of raw words each, no keywords
     @example(SyntheticSpec(doc_len_min=30, doc_len_max=60, injection_rate=0.0,
                            general_size=900, domain_size=400, labeled_pool_size=400), 23)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_corpora_match_a_fresh_generator(self, spec, seed):
         names = spec.class_names()
         for gen_corpus, stream, size, domain in (
@@ -776,3 +776,19 @@ class TestDrawPlan:
         assert len(per_draw) == 3
         assert list(zip(labels, texts)) == one_call_at_a_time(
             spec, _Draws(_Words(words.copy())), 300, domain)
+
+    @pytest.mark.parametrize("injection_rate,marker_rate", [
+        (0.0, 0.3), (0.25, 0.3), (0.1, 0.2), (1 / 3, 1 / 3), (2.0 ** -60, 0.5),
+        (0.5, 0.5 - 2.0 ** -53)])
+    def test_branch_words_split_the_words_as_random_does(self, injection_rate,
+                                                         marker_rate):
+        # the plan picks a branch by comparing words, random() by comparing
+        # (w >> 11) * 2**-53; the two agree on every word around each bound
+        spec = SyntheticSpec(injection_rate=injection_rate, marker_rate=marker_rate)
+        for bound, rate in zip(synthetic._Choices(spec).branch_words,
+                               (injection_rate, injection_rate + marker_rate)):
+            bound = int(bound)
+            for w in (bound - 2049, bound - 2048, bound - 1, bound, bound + 1,
+                      bound + 2047, bound + 2048):
+                if 0 <= w < 1 << 64:
+                    assert (w >= bound) == ((w >> 11) * 2.0 ** -53 >= rate), (rate, w)
