@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from pforge.dataprep import (
     split_of,
 )
 from pforge.dataprep import synthetic
-from pforge.dataprep.synthetic import _Draws, gen_domain, gen_general, gen_labeled_pool
+from pforge.dataprep.synthetic import gen_domain, gen_general, gen_labeled_pool
 from pforge.metrics import PredictionLog, macro_f1
 from pforge.numerics import STREAM_SAMPLING, Rng
 from pforge.textdata import Document, save_jsonl
@@ -550,40 +551,6 @@ class TestSyntheticSpec:
         assert SyntheticSpec(injection_rate=0, marker_rate=0).marker_rate == 0
 
 
-# ranges of Generator.integers' 32-bit path: n = 1 takes no bits, 2**31 + 1
-# rejects about half its first draws, 2**32 is the widest
-_DRAW_RANGES = (1, 2, 3, 40, 400, 2**31 + 1, 2**32)
-
-
-class TestDraws:
-    @pytest.mark.parametrize("seed", [0, 1, 23, 2**64 - 1])
-    def test_matches_a_fresh_generator(self, seed):
-        # a seeded script of interleaved calls, long enough to cross several
-        # blocks of raw words; runs of random() between two integers calls
-        # leave a high half waiting
-        script = np.random.default_rng(seed % 1000)
-        calls = []
-        for _ in range(4000):
-            if script.random() < 0.4:
-                calls.append(None)
-            else:
-                lo = int(script.integers(-5, 6))
-                calls.append((lo, lo + int(script.choice(_DRAW_RANGES))))
-        gen, draws = Rng(seed).generator(), _Draws(Rng(seed).generator().bit_generator)
-        for call in calls:
-            if call is None:
-                want, got = gen.random(), draws.random()
-                assert type(got) is float and got.hex() == want.hex()
-            else:
-                want, got = int(gen.integers(*call)), draws.integers(*call)
-                assert type(got) is int and got == want, call
-
-    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (0, 2**32 + 1), (-1, 2**32)])
-    def test_range_outside_32_bits_refused(self, lo, hi):
-        with pytest.raises(ValueError, match=r"1 <= hi - lo <= 2\*\*32"):
-            _Draws(Rng(1).generator().bit_generator).integers(lo, hi)
-
-
 class TestGenSynthetic:
     def test_deterministic_given_rng(self, tmp_path):
         spec = SyntheticSpec(general_size=40, domain_size=40, labeled_pool_size=60)
@@ -637,65 +604,69 @@ class TestGenSynthetic:
         assert len(manifest.load_unlabeled()) == len(domain)
         assert (manifest.root / "general.jsonl").exists()
 
-    def test_files_keep_their_bytes(self, tmp_path):
+    @pytest.mark.parametrize("spec, seed, digests", [
+        (SyntheticSpec(general_size=30, domain_size=30, labeled_pool_size=80), 2, {
+            "dev.jsonl": "5d60474ec9607c679a5e567871a15c24013f53c3837a7fcdfa100cd7fe37500c",
+            "general.jsonl": "8269466422ab24fd3adf194bf622e4461f38dba971568f7c0b6f0895eba47a75",
+            "labels.txt": "8e99c6383f3baa2ab0afd1948a55100ea441c79f85dceddbc4a0dd5296852a88",
+            "provenance.json": "372de7dc33ead4d930c23e2db3ff73f254ce6297a16501d20b7f850a4173b8ab",
+            "test.jsonl": "b007580462c27f56868cd42ef8e2a37dacd45e12f21db9310e28e54c16cc792e",
+            "train.jsonl": "6dac789a7c73163e8179050a69d86a0f068631ac3d1237fd15dbe76826c0c65b",
+            "unlabeled.jsonl": "2d5c35bada660602bc94e6260f0d7d92fde5660fdc7645d9a6d7c887946f5fe8",
+        }),
+        # documents of 64-111 words, a class with one keyword and a single
+        # marker
+        (SyntheticSpec(keywords=(("plaintiff",), ("tenant", "landlord", "lease"),
+                                 ("visa", "border", "asylum")),
+                       marker_vocab_size=1, doc_len_min=64, doc_len_max=111,
+                       general_size=20, domain_size=30, labeled_pool_size=60), 5, {
+            "dev.jsonl": "fc927fc4ac418fdf95cb537e7375c369232da55306b16af761143d611cf23d2c",
+            "general.jsonl": "c8290b76fd6137a5728b3cceebf9770bbcab0776172ede40bff05d820c38bbf9",
+            "labels.txt": "bd4b8b80da3019d65d4062b771326b33da5a8619fd5f9a4d3b50e9aa753d666c",
+            "provenance.json": "da0b21e416847c1c6532ce2bcf5f079569a893f3ad2a467353ab97ea2a95565a",
+            "test.jsonl": "51c948e69b0cf3b5be2bd120f34338d41046e4169f21c398504c8486561bb43b",
+            "train.jsonl": "5e5e8af15737ceb8a3e6ca8371a7a34ece9c3f9b954399089c40f8b6cd1cc9da",
+            "unlabeled.jsonl": "b4beb9beebaada52d9492bb9adab7fcf81c254ed0a290e3cd191a4bd6c75549f",
+        }),
+    ])
+    def test_files_keep_their_bytes(self, tmp_path, spec, seed, digests):
         # sha256 of every file gen_synthetic writes, pinned so that a change
         # to how the corpora are generated cannot move a single byte
-        spec = SyntheticSpec(general_size=30, domain_size=30, labeled_pool_size=80)
-        gen_synthetic(spec, Rng(2), tmp_path / "syn")
+        gen_synthetic(spec, Rng(seed), tmp_path / "syn")
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "syn").iterdir()}
-        assert got == {
-            "dev.jsonl": "7d63da0013073d56ac3052b604f65b80ae11ad960f3a8a0cc9243f421bbf3591",
-            "general.jsonl": "319a7d57d0ea87589671a024d408cafbcec10345d30862c3a8bd143e9ff008bd",
-            "labels.txt": "2929d347679d307ab9935998e203ffaf2d4b661c30d129214b5eb67e7051cb6c",
-            "provenance.json": "372de7dc33ead4d930c23e2db3ff73f254ce6297a16501d20b7f850a4173b8ab",
-            "test.jsonl": "0df8a935f693d7cd14be9cba02667f785a5fc0e654d11f05851ec83692bd0aa4",
-            "train.jsonl": "62951731fc4a008db2606c5e0f29cb24cd9feab64f847ab62e5f1a4fbeee6835",
-            "unlabeled.jsonl": "7f49d5596633e1937e62f581f47dfeac68907e00687a254a6f54b022854b4863",
-        }
-
-    def test_files_keep_their_bytes_on_other_branches(self, tmp_path):
-        # a second pin: documents of 64-111 words, a class with one keyword
-        # and a single marker, where drawing from a range of one value takes
-        # no bits
-        spec = SyntheticSpec(
-            keywords=(("plaintiff",), ("tenant", "landlord", "lease"),
-                      ("visa", "border", "asylum")),
-            marker_vocab_size=1, doc_len_min=64, doc_len_max=111,
-            general_size=20, domain_size=30, labeled_pool_size=60)
-        gen_synthetic(spec, Rng(5), tmp_path / "syn")
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in (tmp_path / "syn").iterdir()}
-        assert got == {
-            "dev.jsonl": "8370be0fce1110a1fbb7523e6144592209b428becc71ab2b9516edf63ad532b0",
-            "general.jsonl": "98efb9db529fab7062928b98258f4497e7ed42d48af58dfd8339786ad58aaf72",
-            "labels.txt": "711d3ca180e7ba2b19643ed1ec060b9d3825cf2b27c0cc1ee75b84b85a2fa800",
-            "provenance.json": "da0b21e416847c1c6532ce2bcf5f079569a893f3ad2a467353ab97ea2a95565a",
-            "test.jsonl": "7a1020275b220a56c83f6a993c4d2390b8f785fe6e31b881ad414e0cb74db9bd",
-            "train.jsonl": "5bb9bfd162394602ccc7dc512ccc63242024e7f93311f1a8236d5099dbf8d43b",
-            "unlabeled.jsonl": "93fdf3470d1b86ef1c8fb26a227a0e48c38f29ab7afe0ec31535cec8d3ccb0f7",
-        }
+        assert got == digests
 
 
-def one_call_at_a_time(spec, gen, size, domain):
-    """(label, text) of a corpus's size documents drawn through gen's random()
-    and integers() one call at a time, as the generators' docstring states
-    the draws; a general (not domain) document draws no label and only
-    fillers. With a fresh Generator for gen it is the plan's oracle."""
+def per_document_reference(spec, seed, stream, size, domain):
+    """(label, text) of a corpus's size documents, each read from its own
+    stride of the stream's raw words as Python ints, one draw at a time, as
+    the generators' docstring states the layout; a general (not domain)
+    document has label 0 and only fillers. Branches use random()'s float."""
     fillers, markers = spec.filler_tokens(), spec.marker_tokens()
+    stride = 2 + 2 * spec.doc_len_max if domain else 1 + spec.doc_len_max
+    bits = Rng(seed).stream(STREAM_SAMPLING).stream(stream).generator().bit_generator
+    assert isinstance(bits, np.random.Philox)
+    words = [int(w) for w in bits.random_raw(size * stride)]
+
+    def choose(word, n):
+        return (word % 2**32) * n >> 32
+
     docs = []
-    for _ in range(size):
-        label = int(gen.integers(0, spec.num_classes)) if domain else 0
+    for i in range(size):
+        doc = iter(words[i * stride:(i + 1) * stride])
+        label = choose(next(doc), spec.num_classes) if domain else 0
         toks = []
-        for _ in range(int(gen.integers(spec.doc_len_min, spec.doc_len_max + 1))):
+        for _ in range(spec.doc_len_min + choose(next(doc), spec.doc_len_max
+                                                 - spec.doc_len_min + 1)):
             choices = fillers
             if domain:
-                r = gen.random()
+                r = (next(doc) >> 11) * 2.0 ** -53
                 if r < spec.injection_rate:
                     choices = spec.keywords[label]
                 elif r < spec.injection_rate + spec.marker_rate:
                     choices = markers
-            toks.append(choices[int(gen.integers(0, len(choices)))])
+            toks.append(choices[choose(next(doc), len(choices))])
         docs.append((label, " ".join(toks)))
     return docs
 
@@ -718,20 +689,12 @@ def synthetic_specs(draw):
         labeled_pool_size=draw(st.integers(1, 150)))
 
 
-class _Words:
-    """A bit generator stand-in whose raw words are given."""
-
-    def __init__(self, words):
-        self._words = words
-
-    def random_raw(self, n):
-        if n > len(self._words):
-            raise ValueError(f"{n} words asked for, {len(self._words)} left")
-        out, self._words = self._words[:n], self._words[n:]
-        return out
+_CORPORA = ((gen_general, "general", "general_size", False),
+            (gen_domain, "domain", "domain_size", True),
+            (gen_labeled_pool, "labeled", "labeled_pool_size", True))
 
 
-class TestDrawPlan:
+class TestStrides:
     @given(synthetic_specs(), st.integers(0, 1000))
     # one-value choices everywhere: equal length bounds, a one-keyword class
     # and one marker
@@ -742,47 +705,29 @@ class TestDrawPlan:
     @example(SyntheticSpec(doc_len_min=30, doc_len_max=60, injection_rate=0.0,
                            general_size=900, domain_size=400, labeled_pool_size=400), 23)
     @settings(max_examples=40, deadline=None)
-    def test_corpora_match_a_fresh_generator(self, spec, seed):
+    def test_corpora_match_a_per_document_reference(self, spec, seed):
         names = spec.class_names()
-        for gen_corpus, stream, size, domain in (
-                (gen_general, "general", spec.general_size, False),
-                (gen_domain, "domain", spec.domain_size, True),
-                (gen_labeled_pool, "labeled", spec.labeled_pool_size, True)):
-            gen = Rng(seed).stream(STREAM_SAMPLING).stream(stream).generator()
-            want = one_call_at_a_time(spec, gen, size, domain)
+        for gen_corpus, stream, size, domain in _CORPORA:
+            want = per_document_reference(spec, seed, stream, getattr(spec, size), domain)
             got = gen_corpus(spec, Rng(seed))
             assert [d.text for d in got] == [text for _, text in want], stream
             if gen_corpus is gen_labeled_pool:
                 assert [d.label for d in got] == [names[c] for c, _ in want]
 
-    @pytest.mark.parametrize("domain", [False, True])
-    def test_documents_after_a_rejection_are_planned_again(self, monkeypatch, domain):
-        # a zero half is rejected for every range the default spec draws
-        # from, none being a power of two; three zero words in a row hold at
-        # least one token's integers half in either corpus layout
-        words = np.random.Philox(7).random_raw(20000)
-        for at in (100, 1500, 3000):
-            words[at:at + 3] = 0
-        spec = SyntheticSpec()
-        per_draw = []
-
-        def spy(*args):
-            per_draw.append(args)
-            return one_draw_at_a_time(*args)
-
-        one_draw_at_a_time = synthetic._doc_one_draw_at_a_time
-        monkeypatch.setattr(synthetic, "_doc_one_draw_at_a_time", spy)
-        labels, texts = synthetic._draw_corpus(spec, _Words(words.copy()), 300, domain)
-        assert len(per_draw) == 3
-        assert list(zip(labels, texts)) == one_call_at_a_time(
-            spec, _Draws(_Words(words.copy())), 300, domain)
+    @given(synthetic_specs(), st.integers(0, 1000), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_smaller_corpus_is_a_prefix_of_a_larger_one(self, spec, seed, data):
+        for gen_corpus, _, size, _ in _CORPORA:
+            full = gen_corpus(spec, Rng(seed))
+            m = data.draw(st.integers(1, len(full)), label=size)
+            assert gen_corpus(replace(spec, **{size: m}), Rng(seed)) == full[:m], size
 
     @pytest.mark.parametrize("injection_rate,marker_rate", [
         (0.0, 0.3), (0.25, 0.3), (0.1, 0.2), (1 / 3, 1 / 3), (2.0 ** -60, 0.5),
         (0.5, 0.5 - 2.0 ** -53)])
     def test_branch_words_split_the_words_as_random_does(self, injection_rate,
                                                          marker_rate):
-        # the plan picks a branch by comparing words, random() by comparing
+        # a corpus picks a branch by comparing words, random() by comparing
         # (w >> 11) * 2**-53; the two agree on every word around each bound
         spec = SyntheticSpec(injection_rate=injection_rate, marker_rate=marker_rate)
         for bound, rate in zip(synthetic._Choices(spec).branch_words,

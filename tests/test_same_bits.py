@@ -5,8 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from pforge.dataprep import SyntheticSpec
-
 _spec = importlib.util.spec_from_file_location(
     "same_bits", Path(__file__).resolve().parent.parent / "tools" / "same_bits.py")
 same_bits = importlib.util.module_from_spec(_spec)
@@ -54,14 +52,3 @@ def test_ref_naming_no_commit_exits_2_naming_it(capsys):
     assert stop.value.code == 2
     assert "'no-such-ref' names no commit" in capsys.readouterr().err
 
-
-def test_irregular_spec_draws_from_ranges_of_one_value():
-    spec = SyntheticSpec(**same_bits.IRREGULAR_SPEC)
-    assert min(map(len, spec.keywords)) == 1
-    assert spec.marker_vocab_size == 1 and spec.doc_len_min == spec.doc_len_max
-
-
-def test_corpus_digests_of_the_irregular_spec_name_every_file():
-    digests = same_bits.corpus_digests(same_bits.ROOT, repr(same_bits.IRREGULAR_SPEC), 1)
-    assert sorted(digests) == ["dev.jsonl", "general.jsonl", "labels.txt", "provenance.json",
-                               "test.jsonl", "train.jsonl", "unlabeled.jsonl"]

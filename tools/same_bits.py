@@ -7,12 +7,10 @@ Extracts REF with ``git archive`` into a temporary directory and runs
 at seeds 1 and 23, there and in the work tree. For the same workloads and
 seeds it also hashes every file ``gen_synthetic`` writes for the workload's
 spec, because ``data_digest`` covers only the encoded train and eval ids.
-At the same seeds it hashes the files of ``IRREGULAR_SPEC`` too, whose
-draws from ranges of one value no workload spec makes. Prints every
-difference in the quality numbers, ``data_digest``, ``op_calls_per_step``
-and these ``corpus_digests``, and every run that was not ``correct`` or
-had a failed operation. Exits 1 on any of them, 0 when every pair
-matches, and 2 when REF names no commit. ``REF`` = ``HEAD``
+Prints every difference in the quality numbers, ``data_digest``,
+``op_calls_per_step`` and these ``corpus_digests``, and every run that was
+not ``correct`` or had a failed operation. Exits 1 on any of them, 0 when
+every pair matches, and 2 when REF names no commit. ``REF`` = ``HEAD``
 checks the committed tree against itself, or the work tree's uncommitted
 edits against it.
 """
@@ -32,25 +30,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 23)
 # the fields of a run's record that repeat exactly per seed
 COMPARED = ("quality", "data_digest", "op_calls_per_step", "corpus_digests")
-# a spec with a one-keyword class, one marker and equal length bounds, so
-# that its documents draw from ranges of one value, which take no bits
-IRREGULAR_SPEC = {
-    "keywords": (("plaintiff",), ("tenant", "landlord", "lease"),
-                 ("visa", "border", "asylum")),
-    "marker_vocab_size": 1, "doc_len_min": 9, "doc_len_max": 9,
-    "general_size": 200, "domain_size": 300, "labeled_pool_size": 300,
-}
 # prints the sha256 of every file gen_synthetic writes at Rng(argv[2]) for
-# WORKLOADS[argv[1]], or for the SyntheticSpec whose fields argv[1] spells as
-# a Python literal; run in a tree's root, it uses only names both trees have
+# WORKLOADS[argv[1]]; run in a tree's root, it uses only names both trees have
 CORPUS_DIGESTS = """
-import ast, hashlib, json, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
 from bench.workloads import WORKLOADS
-from pforge.dataprep import SyntheticSpec, gen_synthetic
+from pforge.dataprep import gen_synthetic
 from pforge.numerics import Rng
-what = sys.argv[1]
-spec = WORKLOADS[what].spec if what in WORKLOADS else SyntheticSpec(**ast.literal_eval(what))
+spec = WORKLOADS[sys.argv[1]].spec
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "data"
     gen_synthetic(spec, Rng(int(sys.argv[2])), out)
@@ -87,8 +75,7 @@ def bench(root: Path, workload: str, seed: int) -> dict:
 
 
 def corpus_digests(root: Path, workload: str, seed: int) -> dict:
-    """sha256 of every file gen_synthetic writes in root for the workload, or
-    for the spec fields given as ``repr`` of a dict."""
+    """sha256 of every file gen_synthetic writes in root for the workload."""
     proc = subprocess.run(
         [sys.executable, "-c", CORPUS_DIGESTS, workload, str(seed)], cwd=root,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
@@ -132,17 +119,8 @@ def main(argv: list[str] | None = None) -> int:
                 for line in found:
                     print(f"  {line}")
                 n_diff += bool(found)
-        n_irregular = 0
-        for seed in SEEDS:
-            ref, work = (corpus_digests(root, repr(IRREGULAR_SPEC), seed)
-                         for root in (ref_root, ROOT))
-            print(f"irregular spec seed {seed}: {'same' if ref == work else 'DIFFERENT'}")
-            if ref != work:
-                print(f"  corpus_digests: {ref!r} != {work!r}")
-            n_irregular += ref != work
-    print(f"{n_diff} of {len(workloads) * len(SEEDS)} runs and {n_irregular} of "
-          f"{len(SEEDS)} irregular-spec corpora differ from {args.ref}")
-    return 1 if n_diff or n_irregular else 0
+    print(f"{n_diff} of {len(workloads) * len(SEEDS)} runs differ from {args.ref}")
+    return 1 if n_diff else 0
 
 
 if __name__ == "__main__":
