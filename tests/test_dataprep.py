@@ -694,6 +694,29 @@ _CORPORA = ((gen_general, "general", "general_size", False),
             (gen_labeled_pool, "labeled", "labeled_pool_size", True))
 
 
+# choice ranges from one value to the widest a low word half serves;
+# 2**31 + 1 is where a rejection step would throw away about half the words
+_CHOICE_RANGES = (1, 2, 3, 40, 400, 2**31 + 1, 2**32)
+
+
+class TestChoose:
+    @pytest.mark.parametrize("n", _CHOICE_RANGES)
+    def test_each_value_starts_at_its_word(self, n):
+        # value k is the choice of every half x from ceil(k * 2**32 / n) on,
+        # up to where value k + 1 starts: so each value has floor or ceil of
+        # 2**32 / n of the halves, a share off 1 / n by at most n / 2**32 of it
+        ks = {0, 1 % n, n // 2, n - 1, *np.random.default_rng(n).integers(0, n, 40).tolist()}
+        for k in sorted(ks):
+            start, end = -(-k * 2**32 // n), -(-(k + 1) * 2**32 // n)
+            halves = np.array([start, end - 1], dtype=np.uint64)
+            got = synthetic._choose(halves, n)
+            assert got.dtype == np.int64 and got.tolist() == [k, k], (k, start, end)
+            if k:
+                assert synthetic._choose(halves[:1] - np.uint64(1), n).tolist() == [k - 1]
+            assert abs((end - start) * n / 2**32 - 1) <= n / 2**32
+        assert synthetic._choose(np.array([2**32 - 1], dtype=np.uint64), n).tolist() == [n - 1]
+
+
 class TestStrides:
     @given(synthetic_specs(), st.integers(0, 1000))
     # one-value choices everywhere: equal length bounds, a one-keyword class
@@ -721,6 +744,42 @@ class TestStrides:
             full = gen_corpus(spec, Rng(seed))
             m = data.draw(st.integers(1, len(full)), label=size)
             assert gen_corpus(replace(spec, **{size: m}), Rng(seed)) == full[:m], size
+
+    @pytest.mark.parametrize("seed", [0, 1, 23, 2**64 - 1])
+    def test_reading_from_stride_k_on_starts_at_document_k(self, seed):
+        spec = SyntheticSpec()
+        for domain, stride in ((False, 1 + spec.doc_len_max), (True, 2 + 2 * spec.doc_len_max)):
+            full = synthetic._draw_corpus(spec, synthetic._stream_bits(Rng(seed), "domain"),
+                                          120, domain)
+            for k in (1, 37, 100):
+                bits = synthetic._stream_bits(Rng(seed), "domain")
+                bits.random_raw(k * stride)
+                labels, texts = synthetic._draw_corpus(spec, bits, 120 - k, domain)
+                assert (labels, texts) == (full[0][k:], full[1][k:]), (domain, k)
+
+    @pytest.mark.parametrize("block_words", [1, 81, 82, 83, 250])
+    def test_corpora_do_not_depend_on_the_block_size(self, monkeypatch, block_words):
+        # the default strides are 41 words (general) and 82 (domain), so these
+        # give blocks of one document, of one or two, and of several
+        spec = SyntheticSpec(general_size=50, domain_size=50, labeled_pool_size=50)
+        want = [gen_corpus(spec, Rng(3)) for gen_corpus, *_ in _CORPORA]
+        monkeypatch.setattr(synthetic, "_BLOCK_WORDS", block_words)
+        assert [gen_corpus(spec, Rng(3)) for gen_corpus, *_ in _CORPORA] == want
+
+    @pytest.mark.parametrize("gen_corpus", [c[0] for c in _CORPORA])
+    def test_a_one_value_length_reads_its_word(self, gen_corpus):
+        # a token's words sit at the same place whatever the document's
+        # length, and a length of one value still reads its word; so with
+        # equal bounds every document keeps its label and holds the tokens of
+        # the same document under wider bounds, and more
+        fixed = SyntheticSpec(doc_len_min=40, doc_len_max=40, general_size=200,
+                              domain_size=200, labeled_pool_size=200)
+        ranged = gen_corpus(replace(fixed, doc_len_min=1), Rng(4))
+        fixed = gen_corpus(fixed, Rng(4))
+        assert [d.label for d in fixed] == [d.label for d in ranged]
+        for f, r in zip(fixed, ranged, strict=True):
+            toks = f.text.split()
+            assert len(toks) == 40 and toks[:len(r.text.split())] == r.text.split()
 
     @pytest.mark.parametrize("injection_rate,marker_rate", [
         (0.0, 0.3), (0.25, 0.3), (0.1, 0.2), (1 / 3, 1 / 3), (2.0 ** -60, 0.5),
