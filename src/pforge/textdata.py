@@ -3,6 +3,8 @@
 The tokenizer is deliberately simple: lowercase, then split into word and
 single-punctuation tokens. The encoder is trained from scratch, so there is
 no subword inventory to match; determinism matters more than coverage.
+Lowered text of ASCII words and whitespace alone is split by ``str.split``;
+non-ASCII or punctuated text takes the regex, with the same tokens either way.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,11 +28,25 @@ PAD_ID, UNK_ID, CLS_ID, MASK_ID = 0, 1, 2, 3
 SPECIALS = (PAD, UNK, CLS, MASK)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# the ASCII bytes _TOKEN_RE reads as \w or \s: what translate deletes in the check
+_WORD_OR_SPACE = bytes(c for c in range(128) if re.fullmatch(r"[\w\s]", chr(c)))
 
 
 def word_split(text: str) -> list[str]:
-    """Lowercased word/punctuation tokens, no specials."""
-    return _TOKEN_RE.findall(text.lower())
+    r"""Lowercased word/punctuation tokens, no specials.
+
+    Lowered text that is ASCII and holds only characters ``_TOKEN_RE`` reads
+    as ``\w`` or ``\s`` is split by ``str.split``; any other text goes to
+    ``_TOKEN_RE.findall``. The tokens are the same: in such text every
+    non-space character is ``\w``, so the maximal ``\w`` runs are exactly the
+    whitespace-separated fields, and ``str.split`` and ``re``'s ``\s`` agree
+    on what whitespace is. The check runs after lowering, since lowering can
+    turn non-ASCII into ASCII (KELVIN SIGN into ``k``).
+    """
+    text = text.lower()
+    if text.isascii() and not text.encode().translate(None, _WORD_OR_SPACE):
+        return text.split()
+    return _TOKEN_RE.findall(text)
 
 
 class Vocab:
@@ -87,7 +104,8 @@ def build_vocab(texts: Iterable[str], max_size: int = 50000) -> Vocab:
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     """[CLS] followed by word/punctuation token ids; unknowns become [UNK]."""
-    return [CLS_ID] + [vocab.id(t) for t in word_split(text)]
+    tokens = word_split(text)
+    return [CLS_ID, *map(vocab._index.get, tokens, repeat(UNK_ID, len(tokens)))]
 
 
 def detokenize(ids: Sequence[int], vocab: Vocab) -> str:
@@ -220,6 +238,6 @@ def load_jsonl(path: str | Path) -> list[Document]:
 
 def save_jsonl(path: str | Path, docs: Iterable[Document]) -> None:
     """One line per document: its fields in order, None fields left out."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     write_text(path, "".join(
-        json.dumps({k: v for k, v in vars(doc).items() if v is not None},
-                   ensure_ascii=False) + "\n" for doc in docs))
+        encode({k: v for k, v in vars(doc).items() if v is not None}) + "\n" for doc in docs))

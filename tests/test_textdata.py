@@ -2,6 +2,7 @@
 
 import json
 import re
+import string
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from pforge.textdata import (
     PAD_ID,
     SPECIALS,
     UNK_ID,
+    _TOKEN_RE,
+    _WORD_OR_SPACE,
     Document,
     EncodedExample,
     MaskedBatch,
@@ -157,6 +160,43 @@ class TestTokenize:
     def test_tokenize_detokenize_round_trip(self, ids):
         text = detokenize(ids, VOCAB)
         assert tokenize(text, VOCAB) == [CLS_ID] + ids
+
+    @given(st.lists(st.sampled_from(WORDS + ["zulu", "Alpha", " ", "\t", "\n", "é", "!"]))
+           .map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_ids_are_the_per_token_ids(self, text):
+        # unknown tokens included: "zulu", "é" and "!" are not in VOCAB
+        assert tokenize(text, VOCAB) == [CLS_ID] + [VOCAB.id(t) for t in word_split(text)]
+
+
+# every ASCII character, plus non-ASCII ones that lower to ASCII ("K", KELVIN
+# SIGN), lower to more than one character ("İ"), are \w or \s outside ASCII,
+# or cannot be encoded (a lone surrogate, which a JSON "\ud800" escape yields)
+SPLIT_ALPHABET = [chr(c) for c in range(128)] + ["\u212a", "\u0130", "\xe9", "\x85", "\xa0",
+                                                "\u3000", "\ud800"]
+
+
+class TestWordSplit:
+    """``word_split``'s ``str.split`` path gives what the regex gives."""
+
+    @pytest.mark.parametrize("c", [chr(c) for c in range(128)])
+    def test_each_ascii_character_splits_as_the_regex_does(self, c):
+        for text in (c, "a" + c + "b", "A" + c + c + "B"):
+            assert word_split(text) == _TOKEN_RE.findall(text.lower())
+
+    def test_word_or_space_is_what_the_regex_reads_as_word_or_space(self):
+        # an ASCII character is punctuation when the regex keeps it as a token
+        # of its own between two words
+        punctuation = {c for c in range(128)
+                       if _TOKEN_RE.findall("a" + chr(c) + "a") == ["a", chr(c), "a"]}
+        assert sorted(_WORD_OR_SPACE) == sorted(set(range(128)) - punctuation)
+        assert _WORD_OR_SPACE.decode() == "".join(sorted(
+            string.ascii_letters + string.digits + "_" + string.whitespace + "\x1c\x1d\x1e\x1f"))
+
+    @given(st.text(st.sampled_from(SPLIT_ALPHABET)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_splits_as_the_regex_does(self, text):
+        assert word_split(text) == _TOKEN_RE.findall(text.lower())
 
 
 class TestTruncate:
