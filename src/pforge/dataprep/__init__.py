@@ -1,10 +1,20 @@
 """Dataset builders: raw dumps in, DatasetManifest directories out.
 
 A manifest directory holds train.jsonl / dev.jsonl / test.jsonl,
-labels.txt (line number = class id), unlabeled.jsonl (the domain-adaptation
-corpus), and provenance.json. Split membership is a pure function of each
-document id: blake2s("<dataset>/<id>") scaled to [0, 1) against 70/10/20
-boundaries, so builders are insensitive to input order.
+labels.txt (line n names class n - 1), unlabeled.jsonl (the
+domain-adaptation corpus), and provenance.json. ``DatasetManifest.write``
+is its one writer, and works the files out from the documents by these
+rules:
+
+- every document, labeled or not, has an id that no other document of the
+  directory uses;
+- labels.txt lists the labels that the labeled documents carry, at least
+  2, by descending count, ties by name, so a label that no labeled document
+  carries is no class;
+- split membership is a pure function of each labeled document's id:
+  blake2s("<dataset>/<id>") scaled to [0, 1) against 70/10/20 boundaries.
+  Each split is sorted by id, so the splits do not depend on input order;
+  unlabeled.jsonl keeps the order it is given.
 """
 
 from __future__ import annotations
@@ -100,51 +110,67 @@ class DatasetManifest:
         return load_jsonl(self.unlabeled_path)
 
     def validate(self) -> None:
-        """Invariants: labels cover every split, split ids disjoint."""
-        self._check({name: self.load_split(name) for name in self.SPLITS}, self.labels())
-
-    def _check(self, splits: dict[str, list[Document]], labels: list[str]) -> None:
-        """Refuse labels that ``index_lines`` refuses, a split label missing from
-        them, and an id in two splits, naming the file each would be read from."""
-        index = index_lines(labels, self.labels_path, "label")
+        """Refuse labels that ``index_lines`` refuses, a split label missing
+        from them, and an id used twice among the splits, naming the file
+        each was read from."""
+        splits = {name: self.load_split(name) for name in self.SPLITS}
+        labels = set(self.labels())
         seen: dict[str, str] = {}
-        for split in self.SPLITS:
-            for doc in splits.get(split, []):
-                if doc.label is not None and doc.label not in index:
-                    raise DataError(f"{self.split_path(split)}: label {doc.label!r} "
-                                    "missing from labels.txt")
-                if doc.id is not None:
-                    if doc.id in seen and seen[doc.id] != split:
-                        raise DataError(f"id {doc.id!r} appears in both "
-                                        f"{self.split_path(seen[doc.id])} and "
-                                        f"{self.split_path(split)}")
-                    seen[doc.id] = split
+        for split, docs in splits.items():
+            path = self.split_path(split)
+            for doc in docs:
+                if doc.label is not None and doc.label not in labels:
+                    raise DataError(f"{path}: label {doc.label!r} missing from labels.txt")
+                if doc.id is None:
+                    continue
+                if seen.get(doc.id) == split:
+                    raise DataError(f"id {doc.id!r} repeats in {path}")
+                if doc.id in seen:
+                    raise DataError(f"id {doc.id!r} appears in both "
+                                    f"{self.split_path(seen[doc.id])} and {path}")
+                seen[doc.id] = split
 
     @classmethod
-    def write(cls, root: str | Path, splits: dict[str, list[Document]],
-              labels: list[str], unlabeled: list[Document],
-              provenance: dict) -> "DatasetManifest":
-        """Check the splits and labels as ``validate`` would read them back,
-        then write the directory's files. A split outside ``SPLITS`` is refused."""
-        unknown = [name for name in splits if name not in cls.SPLITS]
-        if unknown:
-            raise DataError(f"unknown split {unknown[0]!r}, not one of {cls.SPLITS}")
+    def write(cls, root: str | Path, dataset: str, labeled: list[Document],
+              unlabeled: list[Document], provenance: dict) -> "DatasetManifest":
+        """Write ``dataset``'s directory by the rules of this module, adding
+        ``builder`` and ``split_sizes`` to the provenance.
+
+        Refused before any file is written: a document without an id, an id
+        used twice among the labeled and unlabeled documents, a labeled
+        document without a label, fewer than 2 labels, and a label that
+        ``index_lines`` refuses.
+        """
         manifest = cls(root)
-        manifest._check(splits, labels)
-        for name in cls.SPLITS:
-            save_jsonl(manifest.split_path(name), splits.get(name, []))
+        seen: set[str] = set()
+        for doc in labeled + unlabeled:
+            if doc.id is None:
+                raise DataError(f"{manifest.root}: document without an id "
+                                f"({doc.text[:40]!r})")
+            if doc.id in seen:
+                raise DataError(f"{manifest.root}: id {doc.id!r} is used twice")
+            seen.add(doc.id)
+        counts = Counter(doc.label for doc in labeled)
+        if None in counts:
+            raise DataError(f"{manifest.root}: {counts[None]} of the labeled "
+                            "documents have no label")
+        labels = sorted(counts, key=lambda t: (-counts[t], t))
+        if len(labels) < 2:
+            raise DataError(f"{manifest.root}: need at least 2 labels, the labeled "
+                            f"documents carry {labels}")
+        index_lines(labels, manifest.labels_path, "label")
+        splits: dict[str, list[Document]] = {name: [] for name in cls.SPLITS}
+        for doc in sorted(labeled, key=lambda d: d.id):
+            splits[split_of(dataset, doc.id)].append(doc)
+        for name, docs in splits.items():
+            save_jsonl(manifest.split_path(name), docs)
         write_text(manifest.labels_path, "".join(f"{label}\n" for label in labels))
         save_jsonl(manifest.unlabeled_path, unlabeled)
+        provenance = {"builder": dataset, **provenance,
+                      "split_sizes": {name: len(docs) for name, docs in splits.items()}}
         write_text(manifest.root / "provenance.json",
                    json.dumps(provenance, indent=2, sort_keys=True) + "\n")
         return manifest
-
-
-def _check_unique_ids(posts: list[RawPost]) -> None:
-    counts = Counter(p.id for p in posts)
-    dupes = [pid for pid, c in counts.items() if c > 1]
-    if dupes:
-        raise DataError(f"duplicate post ids in dump: {dupes[:5]}")
 
 
 def _rank_labels(counts: Counter, first_use: dict[str, float], k: int
@@ -153,41 +179,16 @@ def _rank_labels(counts: Counter, first_use: dict[str, float], k: int
     return sorted(counts, key=lambda t: (-counts[t], first_use[t], t))[:k]
 
 
-def _split_documents(dataset: str, docs: list[Document]
-                     ) -> dict[str, list[Document]]:
-    out: dict[str, list[Document]] = {name: [] for name, _ in SPLIT_BOUNDS}
-    for doc in docs:
-        if doc.id is None:
-            raise DataError("split hashing needs a document id")
-        out[split_of(dataset, doc.id)].append(doc)
-    # sort by id so output bytes do not depend on dump order
-    return {name: sorted(docs, key=lambda d: d.id) for name, docs in out.items()}
-
-
-def _write_labeled(dataset: str, out_dir: str | Path, labeled: list[Document],
-                   label_counts: dict[str, int], unlabeled: list[Document],
-                   provenance: dict) -> DatasetManifest:
-    """Split the labeled documents and write the manifest.
-
-    labels.txt lists the keys of label_counts by descending count, ties
-    lexicographic; provenance gains the builder name and the split sizes.
-    """
-    splits = _split_documents(dataset, labeled)
-    labels = sorted(label_counts, key=lambda t: (-label_counts[t], t))
-    return DatasetManifest.write(
-        out_dir, splits, labels, unlabeled,
-        provenance={"builder": dataset, **provenance,
-                    "split_sizes": {name: len(docs) for name, docs in splits.items()}})
-
-
-def _build_top_k(dataset, posts, out_dir, k, what, candidates, label_of, text_of,
-                 provenance) -> DatasetManifest:
-    """Rank candidates(post) labels over the dump and keep the top k.
+def _build_top_k(dataset, posts, out_dir, k_name, k, what, candidates, label_of,
+                 text_of, provenance) -> DatasetManifest:
+    """Rank candidates(post) labels over the dump and keep the top k, where
+    k is the builder's parameter k_name.
 
     label_of(post, top) is a post's label, or None to route it to
     unlabeled.jsonl; text_of(post) is its document text.
     """
-    _check_unique_ids(posts)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+        raise DataError(f"{k_name} must be an int of at least 2, got {k!r}")
     counts: Counter[str] = Counter()
     first_use: dict[str, float] = {}
     for p in posts:
@@ -203,9 +204,9 @@ def _build_top_k(dataset, posts, out_dir, k, what, candidates, label_of, text_of
         doc = Document(text=text_of(p), label=label_of(p, top), id=p.id)
         (unlabeled if doc.label is None else labeled).append(doc)
     unlabeled.sort(key=lambda d: d.id)
-    return _write_labeled(
-        dataset, out_dir, labeled, {t: counts[t] for t in top}, unlabeled,
-        {**provenance, "posts": len(posts), "labeled": len(labeled)})
+    return DatasetManifest.write(
+        out_dir, dataset, labeled, unlabeled,
+        {k_name: k, **provenance, "posts": len(posts), "labeled": len(labeled)})
 
 
 def build_reddit(posts: list[RawPost], out_dir: str | Path,
@@ -216,11 +217,11 @@ def build_reddit(posts: list[RawPost], out_dir: str | Path,
     outside the top k, feed unlabeled.jsonl.
     """
     return _build_top_k(
-        "reddit", posts, out_dir, k_classes, "flairs",
+        "reddit", posts, out_dir, "k_classes", k_classes, "flairs",
         candidates=lambda p: [p.flair] if p.flair else [],
         label_of=lambda p, top: p.flair if p.flair in top else None,
         text_of=lambda p: f"{p.title}\n{p.body}",
-        provenance={"k_classes": k_classes})
+        provenance={})
 
 
 def build_lse(posts: list[RawPost], out_dir: str | Path,
@@ -229,19 +230,21 @@ def build_lse(posts: list[RawPost], out_dir: str | Path,
     """Tag classification for Stack Exchange law questions.
 
     Tags are ranked over the whole dump with country tags excluded; the
-    labeled set keeps single-tag posts whose tag ranks in the top k. Bodies
-    are HTML and get converted to Markdown everywhere.
+    labeled set keeps single-tag posts whose tag ranks in the top k. A top-k
+    tag that no single-tag post carries gives no class, so labels.txt can
+    list fewer than k tags. Bodies are HTML and get converted to Markdown
+    everywhere.
     """
     if country_tags is None or isinstance(country_tags, str):
         raise DataError(f"build_lse requires country_tags, a set or list of tags to "
                         f"exclude; got {country_tags!r}")
     country = set(country_tags)
     return _build_top_k(
-        "lse", posts, out_dir, k_tags, "non-country tags",
+        "lse", posts, out_dir, "k_tags", k_tags, "non-country tags",
         candidates=lambda p: [tag for tag in p.tags if tag not in country],
         label_of=lambda p, top: p.tags[0] if len(p.tags) == 1 and p.tags[0] in top else None,
         text_of=lambda p: f"{p.title}\n{html_to_markdown(p.body)}",
-        provenance={"k_tags": k_tags, "country_tags": sorted(country)})
+        provenance={"country_tags": sorted(country)})
 
 
 _FACT_NUMBER_RE = re.compile(r"^\d+\.\s+")
@@ -282,8 +285,7 @@ def build_echr(path: str | Path, out_dir: str | Path) -> DatasetManifest:
     docs = read_jsonl(path, case)
     if not docs:
         raise DataError(f"{path}: no cases found")
-    return _write_labeled("echr", out_dir, docs, Counter(d.label for d in docs), [],
-                          {"cases": len(docs)})
+    return DatasetManifest.write(out_dir, "echr", docs, [], {"cases": len(docs)})
 
 
 _TAG_WIRE_RE = re.compile(r"<([^<>]+)>")
@@ -344,8 +346,8 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng, out_dir: str | Path
     general = gen_general(spec, rng)
     domain = gen_domain(spec, rng)
     pool = gen_labeled_pool(spec, rng)
-    manifest = _write_labeled(
-        "synthetic", out_dir, pool, Counter(d.label for d in pool), domain,
+    manifest = DatasetManifest.write(
+        out_dir, "synthetic", pool, domain,
         {"seed": rng.seed, "num_classes": spec.num_classes,
          "sizes": {"general": len(general), "domain": len(domain), "pool": len(pool)}})
     save_jsonl(Path(out_dir) / "general.jsonl", general)

@@ -172,12 +172,8 @@ _CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
 _CSV_KINDS = {name: (kind, optional) for name, kind, optional in field_kinds(MetricsRow)}
 
 
-def write_metrics_csv(path: str | Path, rows: Sequence[MetricsRow]) -> None:
-    """One line per run; floats as repr (exact round trip), None as an empty cell."""
-    write_text(path, _metrics_csv(rows))
-
-
 def _metrics_csv(rows: Sequence[MetricsRow]) -> str:
+    """One line per run; floats as repr (exact round trip), None as an empty cell."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -196,8 +192,9 @@ def _metrics_csv(rows: Sequence[MetricsRow]) -> str:
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
-    """Rows written by ``write_metrics_csv``; each cell is parsed by its
-    field's annotation, and an empty cell is None where that allows it."""
+    """Rows of a metrics.csv that ``render_report`` wrote; each cell is
+    parsed by its field's annotation, and an empty cell is None where that
+    allows it."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
@@ -239,10 +236,6 @@ class Curve:
         check_fields(self)
         if len(self.steps) != len(self.values):
             raise ValueError("steps and values lengths differ")
-
-
-def write_curve_csv(path: str | Path, curves: Sequence[Curve]) -> None:
-    write_text(path, _curve_csv(curves))
 
 
 def _curve_csv(curves: Sequence[Curve]) -> str:

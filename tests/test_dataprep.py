@@ -92,6 +92,16 @@ class TestHtmlToMarkdown:
         assert len(HTML_GOLDEN) >= 25
 
 
+def echr_export(path, violated=lambda i: ["6"] if i % 2 else []):
+    """A JSONL export of 20 cases, each title holding a raw U+2028; case i
+    violates the articles violated(i)."""
+    cases = [{"title": f"T{i}\u2028part", "facts": ["1. a fact"], "id": f"c{i}",
+              "violated_articles": violated(i)} for i in range(20)]
+    path.write_text("".join(json.dumps(c, ensure_ascii=False) + "\n" for c in cases),
+                    encoding="utf-8")
+    return path
+
+
 class TestCleanEchr:
     def test_numbered_fact_stripped(self):
         doc = clean_echr("Case A", ["1. The applicant was born"], ["3"])
@@ -161,15 +171,17 @@ class TestCleanEchr:
             build_echr(path, tmp_path / "echr")
 
     def test_build_echr_keeps_a_raw_line_separator_in_a_title(self, tmp_path):
-        path = tmp_path / "cases.jsonl"
-        cases = [{"title": f"T{i}\u2028part", "facts": ["1. a fact"], "id": f"c{i}",
-                  "violated_articles": ["6"] if i % 2 else []} for i in range(20)]
-        path.write_text("".join(json.dumps(c, ensure_ascii=False) + "\n" for c in cases),
-                        encoding="utf-8")
-        manifest = build_echr(path, tmp_path / "echr")
+        manifest = build_echr(echr_export(tmp_path / "cases.jsonl"), tmp_path / "echr")
         docs = [d for name in manifest.SPLITS for d in manifest.load_split(name)]
         assert sorted(d.text for d in docs) == sorted(f"T{i}\u2028part\na fact"
                                                       for i in range(20))
+
+    def test_build_echr_refuses_an_export_of_one_label(self, tmp_path):
+        path = echr_export(tmp_path / "cases.jsonl", violated=lambda i: ["6"])
+        with pytest.raises(DataError, match=re.escape(
+                "need at least 2 labels, the labeled documents carry ['violation']")):
+            build_echr(path, tmp_path / "echr")
+        assert not (tmp_path / "echr").exists()
 
     def test_build_echr_names_a_non_utf8_file(self, tmp_path):
         path = tmp_path / "cases.jsonl"
@@ -266,8 +278,17 @@ class TestBuildReddit:
     def test_duplicate_ids_rejected(self, tmp_path):
         posts = reddit_dump()
         posts.append(posts[0])
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match="id 'r0000' is used twice"):
             build_reddit(posts, tmp_path / "r")
+
+    # unchecked, -1 would slice the last flair off the top k, 0 would write
+    # no class and True one
+    @pytest.mark.parametrize("k", [-1, 0, 1, True, 2.0])
+    def test_bad_k_classes_refused(self, tmp_path, k):
+        with pytest.raises(DataError, match=re.escape(
+                f"k_classes must be an int of at least 2, got {k!r}")):
+            build_reddit(reddit_dump(), tmp_path / "r", k_classes=k)
+        assert not (tmp_path / "r").exists()
 
     def test_output_independent_of_input_order(self, tmp_path):
         posts = reddit_dump()
@@ -322,6 +343,19 @@ class TestBuildLse:
                              k_tags=8)
         assert "usa" not in manifest.labels()
 
+    def test_top_k_tag_without_a_single_tag_post_is_no_class(self, tmp_path):
+        posts = [RawPost(id=f"p{i}", title="t", body="b", tags=tags, created=float(i))
+                 for i, tags in enumerate([("contract",)] * 5 + [("lease",)] * 3
+                                          + [("contract", "tenancy")] * 6)]
+        manifest = build_lse(posts, tmp_path / "lse", country_tags=[], k_tags=3)
+        manifest.validate()
+        assert manifest.labels() == ["contract", "lease"]
+
+    def test_bad_k_tags_refused(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape("k_tags must be an int of at least 2, "
+                                                      "got -1")):
+            build_lse(lse_dump(), tmp_path / "lse", country_tags={"usa"}, k_tags=-1)
+
     def test_missing_country_list_rejected(self, tmp_path):
         with pytest.raises(DataError, match="country"):
             build_lse(lse_dump(), tmp_path / "lse", country_tags=None)
@@ -338,6 +372,42 @@ class TestBuildLse:
         with pytest.raises(ValueError,
                            match=re.escape(f"tags must be a tuple of str, got {tags!r}")):
             RawPost(id="1", title="t", body="b", tags=tags)
+
+
+@pytest.mark.parametrize("build, digests", [
+    # the Reddit and ECHR digests are those of the builders that passed their
+    # own splits and labels to the writer; LSE's labels.txt lists tags by
+    # labeled count
+    (lambda out: build_reddit(reddit_dump(), out), {
+        "dev.jsonl": "dd4734a6f11a4a2414b3ab8474cae817b350515dbe4cf68dfb17b8483302ce3c",
+        "labels.txt": "5892a94de42c2867a29fcb5760c691f83927b674171148319ad13514de360476",
+        "provenance.json": "7ba6ad6325ca29b0698abf7ffe79a37fa3ba177047ebc8a62bce300dc001e367",
+        "test.jsonl": "b1fc662e9de471d12700666c9d0da2b51af3caf4668452317408784f93bd0bcb",
+        "train.jsonl": "e632077e5ae755d5a4582efa3b67c89505acdc16f296ef5feb26ffeb57ec4de2",
+        "unlabeled.jsonl": "8565e7d5c22410a917a214ecd4398612e1990a9fb8fdc89a0aa2f4d9397448ba",
+    }),
+    (lambda out: build_echr(echr_export(out.parent / "cases.jsonl"), out), {
+        "dev.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "labels.txt": "f040b0c539fd6af415d97ade14f4f41c6ca1001b96a0ad346e7aa897df278bab",
+        "provenance.json": "da761ab9445b1087f484b1fca563bd5ee8d958054c09fc9b86d1c37b0bf13a1f",
+        "test.jsonl": "dd7c2da1462bdabeef636e014e1c684f60a4cbabe6b692e4cdb778a877ef69b1",
+        "train.jsonl": "81eaf53ef8158f078a2ecd3cfd90ba2c69e2a6f255d06a31416ec0a9d421ab4d",
+        "unlabeled.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    (lambda out: build_lse(lse_dump(), out, country_tags={"usa"}, k_tags=8), {
+        "dev.jsonl": "ecce5d44bdcf41fa0d6cc7d0307f3923503b13839827cce0b102142dc5699be0",
+        "labels.txt": "05da6a95d1597e43ec9f5592a5283a94081720dac99c5b2249f22c144eb9c08a",
+        "provenance.json": "fd097912b8e276f8765c3c9b91d2059968513ebc32b70a6aa3236bf442174fc8",
+        "test.jsonl": "18d40b4682bea403699d0fbbddf200670157fc5eadeeb2b9736835dce2af7f65",
+        "train.jsonl": "f69ad8b4d69fc6227fb5333d1ed741c01c7da08e1fe78e2e2de7c3307c4ea38f",
+        "unlabeled.jsonl": "377349cbe2d272d0693f2fd0a12a64cf9806ed32b778ee61f3b9ae4cfb7a9d49",
+    }),
+], ids=["reddit", "echr", "lse"])
+def test_builders_keep_their_bytes(tmp_path, build, digests):
+    build(tmp_path / "out")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "out").iterdir()}
+    assert got == digests
 
 
 class TestStackExchangeXml:
@@ -419,6 +489,17 @@ class TestDatasetManifestValidation:
         with pytest.raises(DataError, match=re.escape(f"{root / 'train.jsonl'}: label 'z'")):
             DatasetManifest(root).validate()
 
+    def test_id_repeated_in_one_split_caught(self, tmp_path):
+        root = tmp_path / "bad"
+        save_jsonl(root / "train.jsonl", [Document(text="x", label="a", id="1"),
+                                          Document(text="y", label="a", id="1")])
+        for name in ("dev", "test", "unlabeled"):
+            save_jsonl(root / f"{name}.jsonl", [])
+        (root / "labels.txt").write_text("a\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"id '1' repeats in {root / 'train.jsonl'}")):
+            DatasetManifest(root).validate()
+
     def test_cross_split_id_caught(self, tmp_path):
         root = tmp_path / "bad"
         root.mkdir()
@@ -431,24 +512,22 @@ class TestDatasetManifestValidation:
                 f"appears in both {root / 'train.jsonl'} and {root / 'dev.jsonl'}")):
             DatasetManifest(root).validate()
 
-    @pytest.mark.parametrize("splits, labels, message", [
-        ({"train": [Document(text="x", label="z", id="1")]}, ["a"],
-         "train.jsonl: label 'z' missing from labels.txt"),
-        ({"train": [Document(text="x", label="a", id="1")],
-          "test": [Document(text="y", label="a", id="1")]}, ["a"],
-         "id '1' appears in both"),
-        ({}, ["a", ""], "labels.txt:2: blank label"),
-        ({}, ["a", "b\u2028c"], r"labels.txt:2: label 'b\u2028c' is not one line of text"),
-        ({}, ["a", 3], "labels.txt:2: label 3 is not one line of text"),
-        ({}, ["a", "b", "a"], "labels.txt:3: label 'a' repeats line 1"),
-        ({"validation": [Document(text="x", label="a", id="1")]}, ["a"],
-         "unknown split 'validation'"),
-    ], ids=["unknown-label", "cross-split-id", "blank", "two-lines", "not-str", "repeated",
-            "unknown-split"])
-    def test_write_refuses_before_writing_any_file(self, tmp_path, splits, labels, message):
+    @pytest.mark.parametrize("labeled, unlabeled, message", [
+        ([Document(text="x", label="a")], [], "document without an id ('x')"),
+        ([Document(text="x", label="a", id="1"), Document(text="y", label="b", id="2")],
+         [Document(text="z", id="1")], "id '1' is used twice"),
+        ([Document(text="x", label="a", id="1"), Document(text="y", id="2")], [],
+         "1 of the labeled documents have no label"),
+        ([Document(text="x", label="a", id="1"), Document(text="y", label="a", id="2")], [],
+         "need at least 2 labels, the labeled documents carry ['a']"),
+        ([Document(text="x", label="a", id="1"), Document(text="y", label="b\u2028c", id="2")],
+         [], r"labels.txt:2: label 'b\u2028c' is not one line of text"),
+    ], ids=["missing-id", "repeated-id", "no-label", "one-label", "two-lines"])
+    def test_write_refuses_before_writing_any_file(self, tmp_path, labeled, unlabeled,
+                                                   message):
         root = tmp_path / "ds"
         with pytest.raises(DataError, match=re.escape(message)):
-            DatasetManifest.write(root, splits, labels, [], {})
+            DatasetManifest.write(root, "demo", labeled, unlabeled, {})
         assert not root.exists()
 
     @staticmethod

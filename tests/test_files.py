@@ -14,7 +14,7 @@ import pytest
 from pforge import write_file, write_text
 from pforge.checkpoint import save_tensors
 from pforge.dataprep import DatasetManifest
-from pforge.metrics import Curve, MetricsRow, render_report, write_curve_csv, write_metrics_csv
+from pforge.metrics import Curve, MetricsRow, render_report
 from pforge.textdata import SPECIALS, Document, Vocab, save_jsonl
 
 ROWS = [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8, seed=1, macro_f1=0.5)]
@@ -27,10 +27,8 @@ WRITERS = {
     "save_jsonl": lambda d: save_jsonl(d / "docs.jsonl", [Document(text="some words")] * 3),
     "Vocab.save": lambda d: Vocab(SPECIALS + ("alpha", "bravo")).save(d / "vocab.txt"),
     "DatasetManifest.write": lambda d: DatasetManifest.write(
-        d, {"train": [Document(text="some words", label="a", id="1")]}, ["a"], [],
-        {"builder": "test"}),
-    "write_metrics_csv": lambda d: write_metrics_csv(d / "metrics.csv", ROWS),
-    "write_curve_csv": lambda d: write_curve_csv(d / "loss.csv", CURVES),
+        d, "test", [Document(text="some words", label=label, id=label) for label in "ab"],
+        [], {}),
     "render_report": lambda d: render_report(ROWS, d, {"loss": CURVES}),
 }
 LIMIT = 16

@@ -18,8 +18,6 @@ from pforge.metrics import (
     render_markdown_table,
     read_metrics_csv,
     render_report,
-    write_curve_csv,
-    write_metrics_csv,
 )
 
 
@@ -427,6 +425,12 @@ class TestMetricsRow:
         assert (row.macro_f1, row.ece) == (0.0, 1.0)
 
 
+def metrics_csv(out_dir, rows):
+    """The metrics.csv that render_report writes for rows."""
+    render_report(rows, out_dir)
+    return out_dir / "metrics.csv"
+
+
 class TestMetricsTableCsv:
     def test_round_trip(self, tmp_path):
         rows = [
@@ -441,21 +445,19 @@ class TestMetricsTableCsv:
             MetricsRow(method="pt2", dataset="synthetic", fewshot_size=64, seed=21,
                        failure="diverged:\r\nstep 3\rloss nan"),
         ]
-        path = tmp_path / "m.csv"
-        write_metrics_csv(path, rows)
-        assert read_metrics_csv(path) == rows
+        assert read_metrics_csv(metrics_csv(tmp_path, rows)) == rows
 
     def test_numpy_floats_written_as_plain_floats(self, tmp_path):
-        path = tmp_path / "m.csv"
-        write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8,
-                                            lr=np.float32(0.5), macro_f1=np.float64(0.25))])
+        path = metrics_csv(tmp_path, [MetricsRow(method="ft", dataset="synthetic",
+                                                 fewshot_size=8, lr=np.float32(0.5),
+                                                 macro_f1=np.float64(0.25))])
         assert "np." not in path.read_text()
         (row,) = read_metrics_csv(path)
         assert (row.lr, row.macro_f1) == (0.5, 0.25)
 
     def test_non_utf8_file_names_path(self, tmp_path):
-        path = tmp_path / "m.csv"
-        write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8)])
+        path = metrics_csv(tmp_path, [MetricsRow(method="ft", dataset="synthetic",
+                                                 fewshot_size=8)])
         path.write_bytes(path.read_bytes().replace(b"synthetic", b"caf\xe9"))
         with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8")):
             read_metrics_csv(path)
@@ -468,9 +470,8 @@ class TestMetricsTableCsv:
     @pytest.mark.parametrize("edit", [lambda cells: cells[:-1], lambda cells: cells + ["x"]],
                              ids=["short", "long"])
     def test_row_of_wrong_length_names_path_and_line(self, tmp_path, edit):
-        path = tmp_path / "m.csv"
-        write_metrics_csv(path, [MetricsRow(method="ft", dataset="synthetic", fewshot_size=8,
-                                            failure="diverged")])
+        path = metrics_csv(tmp_path, [MetricsRow(method="ft", dataset="synthetic",
+                                                 fewshot_size=8, failure="diverged")])
         header, row = path.read_text().splitlines()
         path.write_text(header + "\n" + ",".join(edit(row.split(","))) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: cell count differs")):
@@ -483,34 +484,32 @@ class TestMetricsTableCsv:
             read_metrics_csv(path)
 
     @staticmethod
-    def _write_with_bad_cell(path, column, value):
+    def _write_with_bad_cell(out_dir, column, value):
         rows = [MetricsRow(method="ft", dataset="synthetic", fewshot_size=32, seed=s, lr=5e-4)
                 for s in (10, 20)]
-        write_metrics_csv(path, rows)
+        path = metrics_csv(out_dir, rows)
         header, first, second = path.read_text().splitlines()
         cells = second.split(",")
         cells[header.split(",").index(column)] = value
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        return path
 
     @pytest.mark.parametrize("column, value", [("fewshot_size", "eight"),
                                                ("seed", "1.5"), ("lr", "fast")])
     def test_bad_cell_names_path_line_and_column(self, tmp_path, column, value):
-        path = tmp_path / "m.csv"
-        self._write_with_bad_cell(path, column, value)
+        path = self._write_with_bad_cell(tmp_path, column, value)
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: column {column!r}")):
             read_metrics_csv(path)
 
     @pytest.mark.parametrize("column", ["method", "dataset", "fewshot_size"])
     def test_empty_required_cell_names_path_line_and_column(self, tmp_path, column):
-        path = tmp_path / "m.csv"
-        self._write_with_bad_cell(path, column, "")
+        path = self._write_with_bad_cell(tmp_path, column, "")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + f".*{column}"):
             read_metrics_csv(path)
 
     @pytest.mark.parametrize("column, value", [("macro_f1", "nan"), ("ece", "1.5")])
     def test_out_of_range_cell_names_path_and_line(self, tmp_path, column, value):
-        path = tmp_path / "m.csv"
-        self._write_with_bad_cell(path, column, value)
+        path = self._write_with_bad_cell(tmp_path, column, value)
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: {column} must lie")):
             read_metrics_csv(path)
 
@@ -521,9 +520,8 @@ class TestCurves:
             Curve("x", [1, 2], [0.1])
 
     def test_curve_csv_contents(self, tmp_path):
-        path = tmp_path / "c.csv"
-        write_curve_csv(path, [Curve("a", [0, 5], [0.25, 0.5])])
-        lines = path.read_text().splitlines()
+        render_report(runs("pt2", 32, 0.5), tmp_path, {"c": [Curve("a", [0, 5], [0.25, 0.5])]})
+        lines = (tmp_path / "curves" / "c.csv").read_text().splitlines()
         assert lines[0] == "series,step,value"
         assert lines[1] == "a,0.0,0.25"
 
